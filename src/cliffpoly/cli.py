@@ -9,32 +9,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .decompose import (
     DEFAULT_SEED,
     THEOREM_ORDER,
+    TOWER_MODES,
     classical_fischer_decompose,
     fischer_h_decompose,
     refine_decompose,
     verify_report,
 )
-from .operators import OmegaWord, apply_operator, derived_operator, dirac_right, sandwich_x, word_apply
+from .multivector import MAX_GENERATORS
+from .operators import OPERATORS, OmegaWord, apply_named, word_apply
 from .polynomial import CliffordPoly
 from .spaces import KINDS, TheoremViolation, space_basis
 
 BUDGET_ENV = "CLIFFPOLY_BUDGET_SECONDS"
 
-OP_NAMES = (
-    "dplus", "dminus", "xwedge", "xdot", "xfull",
-    "dirac", "dirac-right", "dirac-tilde",
-    "laplacian", "laplacian-tilde",
-    "euler", "ferm-plus", "ferm-minus",
-    "A", "B", "X", "X-tilde", "sandwich-x",
-)
-
-TOWER_MODES = ("harmonic", "monogenic", "infra")
+OP_NAMES = tuple(OPERATORS)
 
 
 class CliError(Exception):
@@ -99,12 +94,7 @@ def cmd_apply(args) -> int:
         raise CliError(2, "apply takes exactly one of --op and --word")
     p = _read_poly(args.input)
     if args.op is not None:
-        if args.op == "dirac-right":
-            result = dirac_right(p)
-        elif args.op == "sandwich-x":
-            result = sandwich_x(p)
-        else:
-            result = apply_operator(derived_operator(args.op), p)
+        result = apply_named(args.op, p)
     else:
         try:
             word = OmegaWord(args.word)
@@ -134,15 +124,18 @@ def cmd_decompose(args) -> int:
         result = fischer_h_decompose(p)
     elif args.theorem == "classical":
         result = classical_fischer_decompose(p, args.mode)
-    elif args.theorem == "mt":
-        result = refine_decompose(p, "mt", S=_parse_grades(args.S), side=side)
     else:
-        result = refine_decompose(p, args.theorem, side=side)
+        S = _parse_grades(args.S) if args.S is not None else None
+        result = refine_decompose(p, args.theorem, S=S, side=side)
     _emit(result.to_json_dict(), args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
+    if not 1 <= args.m <= MAX_GENERATORS:
+        raise CliError(2, f"--m must be in 1..{MAX_GENERATORS}, got {args.m}")
+    if args.kmax < 0:
+        raise CliError(2, f"--kmax must be nonnegative, got {args.kmax}")
     if args.theorems == "all":
         theorems = "all"
     else:
@@ -152,12 +145,15 @@ def cmd_verify(args) -> int:
             raise CliError(2, f"unknown theorems {unknown}; expected among {list(THEOREM_ORDER)}")
         if not theorems:
             raise CliError(2, "--theorems must name at least one theorem")
-    budget = args.budget_seconds
+    budget, source = args.budget_seconds, "--budget-seconds"
     if budget is None and os.environ.get(BUDGET_ENV):
+        source = BUDGET_ENV
         try:
             budget = float(os.environ[BUDGET_ENV])
         except ValueError:
             raise CliError(2, f"cannot parse {BUDGET_ENV}={os.environ[BUDGET_ENV]!r}") from None
+    if budget is not None and math.isnan(budget):
+        raise CliError(2, f"{source} must be a number of seconds, got nan")
     summary = verify_report(args.m, args.kmax, theorems=theorems,
                             budget_seconds=budget, seed=args.seed)
     _emit(summary.to_json_dict(), args.output)

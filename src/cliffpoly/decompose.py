@@ -15,20 +15,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Sequence
 
-from .linalg import (
-    RationalMatrix,
-    SubspaceBasis,
-    direct_sum_check,
-    nullspace,
-    operator_matrix,
-    poly_from_vector,
-    poly_vector,
-    rref,
-)
+from .linalg import NotInSpan, SubspaceBasis, coords_in_basis, direct_sum_check
 from .operators import (
     OmegaWord,
     apply_operator,
@@ -42,11 +32,23 @@ from .operators import (
     x_wedge,
 )
 from .polynomial import CliffordPoly, monomial_keys, norm_squared_poly, space_dim
-from .spaces import TheoremViolation, component_space, hodge_space, omega_words, space_basis
+from .spaces import (
+    TheoremViolation,
+    _kernel_basis,
+    component_space,
+    hodge_space,
+    omega_words,
+    space_basis,
+)
 
 DEFAULT_SEED = 7021
 
+# components as (label, basis) pairs
+Labeled = Sequence[tuple[str, SubspaceBasis]]
+
 THEOREM_ORDER = ("h", "homma", "monogenic", "mt", "infra", "infra-harmonic", "classical")
+
+TOWER_MODES = ("harmonic", "monogenic", "infra")
 
 
 @dataclass(frozen=True)
@@ -96,14 +98,12 @@ class DecompositionResult:
     def __init__(self, input: CliffordPoly, components: dict[str, CliffordPoly],
                  residual: CliffordPoly | None = None):
         residual = residual if residual is not None else CliffordPoly.zero(input.m)
-        total = residual
-        for part in components.values():
-            total = total + part
-        if total != input:
-            raise TheoremViolation("decomposition does not sum back to its input", witness=input - total)
         object.__setattr__(self, "input", input)
         object.__setattr__(self, "components", dict(components))
         object.__setattr__(self, "residual", residual)
+        total = self.total()
+        if total != input:
+            raise TheoremViolation("decomposition does not sum back to its input", witness=input - total)
 
     def __setattr__(self, name, value):
         raise AttributeError("DecompositionResult is immutable")
@@ -123,11 +123,10 @@ class DecompositionResult:
 
 
 # ---------------------------------------------------------------------------
-# exact projection onto stacked component bases
+# exact projection onto stacked component bases, and the one driver
 
 
-def project_onto(part: CliffordPoly, labeled: Sequence[tuple[str, SubspaceBasis]],
-                 ambient_keys, context: str) -> dict[str, CliffordPoly]:
+def project_onto(part: CliffordPoly, labeled: Labeled, context: str) -> dict[str, CliffordPoly]:
     """Coordinates of part over the concatenated bases, summed per label.
 
     Raises TheoremViolation when the stacked bases do not span the part;
@@ -136,31 +135,50 @@ def project_onto(part: CliffordPoly, labeled: Sequence[tuple[str, SubspaceBasis]
     """
     if part.is_zero:
         return {}
-    live = [(label, basis) for label, basis in labeled if basis.dim]
-    vectors = [v for _, basis in live for v in basis]
+    vectors = [v for _, basis in labeled for v in basis]
     if not vectors:
         raise TheoremViolation(f"{context}: no components available", witness=part)
-    columns = [poly_vector(v, ambient_keys) for v in vectors]
-    columns.append(poly_vector(part, ambient_keys))
-    rr = rref(RationalMatrix.from_columns(columns, len(ambient_keys)))
-    n = len(vectors)
-    if any(piv == n for piv in rr.pivots):
-        raise TheoremViolation(f"{context}: polynomial escapes the component span", witness=part)
-    coords = [Fraction(0)] * n
-    for row_idx, piv in enumerate(rr.pivots):
-        coords[piv] = rr.matrix.entries[row_idx][n]
+    try:
+        coords = iter(coords_in_basis(part, SubspaceBasis(part.m, context, vectors, certify=False)))
+    except NotInSpan:
+        raise TheoremViolation(f"{context}: polynomial escapes the component span",
+                               witness=part) from None
     out: dict[str, CliffordPoly] = {}
-    pos = 0
-    for label, basis in live:
+    for label, basis in labeled:
         piece = CliffordPoly.zero(part.m)
         for v in basis:
-            c = coords[pos]
-            pos += 1
+            c = next(coords)
             if c:
                 piece = piece + v.scale(c)
         if not piece.is_zero:
             out[label] = piece
     return out
+
+
+def _decompose(p: CliffordPoly, components: Callable[..., Labeled], context: str,
+               grade_set: frozenset[int] | None = None) -> DecompositionResult:
+    """Project p onto certified components, one bigrade or one degree at a time.
+
+    Without a grade set p splits per bigrade and components(m, s, k)
+    lists the components of bigrade (s, k).  With one, p splits per
+    degree, components(m, grade_set, k) lists those of degree k (they mix
+    grades), and a part with a grade outside the set raises
+    TheoremViolation.
+    """
+    if grade_set is None:
+        units = [(s, k, part, f"{context} (s={s},k={k})") for k, s, part in p.bigrade_split()]
+    else:
+        by_degree: dict[int, CliffordPoly] = {}
+        for k, s, part in p.bigrade_split():
+            if s not in grade_set:
+                raise TheoremViolation(f"input carries grade {s} outside the set {sorted(grade_set)}",
+                                       witness=part)
+            by_degree[k] = by_degree.get(k, CliffordPoly.zero(p.m)) + part
+        units = [(grade_set, k, part, f"{context} (k={k})") for k, part in sorted(by_degree.items())]
+    out: dict[str, CliffordPoly] = {}
+    for grades, k, part, where in units:
+        out.update(project_onto(part, components(p.m, grades, k), where))
+    return DecompositionResult(p, out)
 
 
 # ---------------------------------------------------------------------------
@@ -195,97 +213,86 @@ def _h_components(m: int, s: int, k: int) -> list[tuple[str, SubspaceBasis]]:
 
 def fischer_h_decompose(p: CliffordPoly) -> DecompositionResult:
     """Split p along the word-indexed direct sum, bigrade by bigrade."""
-    components: dict[str, CliffordPoly] = {}
-    for k, s, part in p.bigrade_split():
-        labeled = _h_components(p.m, s, k)
-        keys = monomial_keys(p.m, s, k)
-        components.update(project_onto(part, labeled, keys, f"bigrade (s={s},k={k})"))
-    return DecompositionResult(p, components)
+    return _decompose(p, _h_components, "bigrade")
 
 
 def h_bookkeeping_report(m: int, s: int, k: int) -> TheoremReport:
     """Certify that the word components tile the full bigrade exactly."""
-    labeled = _h_components(m, s, k)
-    ambient = space_dim(m, s, k)
-    check = direct_sum_check([basis for _, basis in labeled], ambient_dim=ambient,
-                             ambient_keys=monomial_keys(m, s, k))
-    report = TheoremReport(
-        theorem="h", m=m, k=k, s=s,
-        labels=tuple(label for label, _ in labeled),
-        dims=check.dims, ambient_dim=ambient,
-        direct_sum=check.independent, fills=bool(check.fills_ambient),
-    )
-    if not report.ok:
-        raise TheoremViolation(f"word components fail to tile (m={m},s={s},k={k})", report=report)
-    return report
+    return _refine_report("h", m, s, k, _h_components(m, s, k), (), space_dim(m, s, k))[0]
 
 
 # ---------------------------------------------------------------------------
 # refinements of the classical kernels
 
 
-def _certify_killed(labeled: Sequence[tuple[str, SubspaceBasis]],
-                    kill: Callable[[CliffordPoly], CliffordPoly], what: str) -> None:
-    for label, basis in labeled:
-        for v in basis:
-            if not kill(v).is_zero:
-                raise TheoremViolation(f"component {label} is not annihilated by {what}", witness=v)
-
-
-def _refine_report(theorem: str, m: int, s: int | None, k: int,
-                   labeled: Sequence[tuple[str, SubspaceBasis]], ambient: SubspaceBasis,
-                   grades: tuple[int, ...] | None = None, note: str = "") -> TheoremReport:
+def _refine_report(theorem: str, m: int, s: int | None, k: int, labeled: Labeled,
+                   kills: Sequence[tuple[Callable[[CliffordPoly], CliffordPoly], str]],
+                   ambient_dim: int, grades: tuple[int, ...] | None = None,
+                   note: str = "") -> tuple[TheoremReport, list[SubspaceBasis]]:
+    """Certify that each operator of kills annihilates every component
+    vector, and that the components, which must lie in bigrade (s, k) or
+    in degree k over the grade set, tile an ambient_dim-dimensional space
+    as a direct sum."""
+    for kill, what in kills:
+        for label, basis in labeled:
+            for v in basis:
+                if not kill(v).is_zero:
+                    raise TheoremViolation(f"component {label} is not annihilated by {what}", witness=v)
     live = [(label, basis) for label, basis in labeled if basis.dim]
-    check = direct_sum_check([basis for _, basis in live], ambient_dim=ambient.dim)
+    check = direct_sum_check([basis for _, basis in live], ambient_dim=ambient_dim,
+                             ambient_keys=monomial_keys(m, s if s is not None else grades, k))
     report = TheoremReport(
         theorem=theorem, m=m, k=k, s=s, grades=grades,
         labels=tuple(label for label, _ in live),
-        dims=check.dims, ambient_dim=ambient.dim,
+        dims=check.dims, ambient_dim=ambient_dim,
         direct_sum=check.independent, fills=bool(check.fills_ambient), note=note,
     )
     if not report.ok:
         raise TheoremViolation(f"{theorem} refinement fails at (m={m},s={s},k={k})", report=report)
-    return report
+    return report, [basis for _, basis in labeled]
 
 
-def _pair_component(m: int, s: int, k: int, wedge_coeff: int, dot_coeff: int,
-                    label: str) -> SubspaceBasis:
+def _pair_component(m: int, s: int, k: int, wedge_coeff: int,
+                    dot_coeff: int) -> tuple[str, SubspaceBasis]:
     """Span of (wedge_coeff * xwedge xdot + dot_coeff * xdot xwedge) over
-    the Hodge-de Rham space two degrees down."""
+    the Hodge-de Rham space two degrees down, with its label."""
+    label = f"({wedge_coeff}*wd{dot_coeff:+d}*dw)*H({s},{k - 2})"
     source = hodge_space(m, s, k - 2) if k >= 2 and 1 <= s <= m - 1 else None
     if source is None or source.dim == 0:
-        return SubspaceBasis(m, label, ())
+        return label, SubspaceBasis(m, label, ())
     vectors = []
     for v in source:
         vectors.append(x_wedge(x_dot(v)).scale(wedge_coeff) + x_dot(x_wedge(v)).scale(dot_coeff))
     try:
-        return SubspaceBasis(m, label, vectors)
+        return label, SubspaceBasis(m, label, vectors)
     except ValueError:
         raise TheoremViolation(f"pair component {label} degenerated", witness=source.vectors[0]) from None
 
 
-def harmonic_components(m: int, s: int, k: int) -> list[tuple[str, SubspaceBasis]]:
-    """The four refinement components of the grade-s degree-k harmonics:
-    the Hodge-de Rham space, its wedge and dot images one degree down,
-    and one mixed pair combination two degrees down whose coefficients
-    are forced by harmonicity."""
-    c1, c2 = k - 2 + s, k - 2 + m - s
-    pair_label = f"({c2}*wd-{c1}*dw)*H({s},{k - 2})"
+def intersection_components(m: int, s: int, k: int) -> list[tuple[str, SubspaceBasis]]:
+    """The Hodge-de Rham space and its wedge and dot images one degree
+    down.  Both refinements below start with these three; their pair
+    combinations differ between the two kernels, so only these three
+    survive in the intersection."""
     return [
         (f"H({s},{k})", hodge_space(m, s, k)),
         (f"w*H({s - 1},{k - 1})", component_space("w", m, s - 1, k - 1)),
         (f"d*H({s + 1},{k - 1})", component_space("d", m, s + 1, k - 1)),
-        (pair_label, _pair_component(m, s, k, wedge_coeff=c2, dot_coeff=-c1, label=pair_label)),
     ]
+
+
+def harmonic_components(m: int, s: int, k: int) -> list[tuple[str, SubspaceBasis]]:
+    """The four refinement components of the grade-s degree-k harmonics:
+    the three shared ones and one mixed pair combination two degrees down
+    whose coefficients are forced by harmonicity."""
+    c1, c2 = k - 2 + s, k - 2 + m - s
+    return intersection_components(m, s, k) + [_pair_component(m, s, k, c2, -c1)]
 
 
 def harmonic_refine(m: int, s: int, k: int) -> tuple[TheoremReport, list[SubspaceBasis]]:
     """Certify that the four harmonic components tile the harmonics."""
-    labeled = harmonic_components(m, s, k)
-    _certify_killed(labeled, laplacian, "the Laplacian")
-    ambient = space_basis("harmonic", m, k, s=s)
-    report = _refine_report("homma", m, s, k, labeled, ambient)
-    return report, [basis for _, basis in labeled]
+    return _refine_report("homma", m, s, k, harmonic_components(m, s, k),
+                          [(laplacian, "the Laplacian")], space_basis("harmonic", m, k, s=s).dim)
 
 
 def infra_components(m: int, s: int, k: int) -> list[tuple[str, SubspaceBasis]]:
@@ -293,14 +300,7 @@ def infra_components(m: int, s: int, k: int) -> list[tuple[str, SubspaceBasis]]:
     Laplacian; the pair coefficients ((c1+1) c2, (c2+1) c1) are the ones
     its eigenvalues force."""
     c1, c2 = k - 2 + s, k - 2 + m - s
-    a, b = (c1 + 1) * c2, (c2 + 1) * c1
-    pair_label = f"({a}*wd+{b}*dw)*H({s},{k - 2})"
-    return [
-        (f"H({s},{k})", hodge_space(m, s, k)),
-        (f"w*H({s - 1},{k - 1})", component_space("w", m, s - 1, k - 1)),
-        (f"d*H({s + 1},{k - 1})", component_space("d", m, s + 1, k - 1)),
-        (pair_label, _pair_component(m, s, k, wedge_coeff=a, dot_coeff=b, label=pair_label)),
-    ]
+    return intersection_components(m, s, k) + [_pair_component(m, s, k, (c1 + 1) * c2, (c2 + 1) * c1)]
 
 
 def inframonogenic_refine(m: int, s: int, k: int) -> tuple[TheoremReport, list[SubspaceBasis]]:
@@ -317,11 +317,9 @@ def inframonogenic_refine(m: int, s: int, k: int) -> tuple[TheoremReport, list[S
             if laplacian_tilde(x_dot(x_wedge(v))) != v.scale(2 * (c1 + 1) * c2):
                 raise TheoremViolation(
                     f"dot-wedge eigenvalue failed at (m={m},s={s},k={k})", witness=v)
-    labeled = infra_components(m, s, k)
-    _certify_killed(labeled, laplacian_tilde, "the twisted Laplacian")
-    ambient = space_basis("infra", m, k, s=s)
-    report = _refine_report("infra", m, s, k, labeled, ambient)
-    return report, [basis for _, basis in labeled]
+    return _refine_report("infra", m, s, k, infra_components(m, s, k),
+                          [(laplacian_tilde, "the twisted Laplacian")],
+                          space_basis("infra", m, k, s=s).dim)
 
 
 def _x_image(m: int, s: int, k_source: int, side: str) -> SubspaceBasis:
@@ -379,41 +377,24 @@ def monogenic_refine(m: int, k: int, S: Iterable[int] | None = None,
     S = frozenset(range(m + 1)) if S is None else frozenset(S)
     labeled = monogenic_components(m, k, S, side)
     kill = dirac if side == "left" else dirac_right
-    _certify_killed(labeled, kill, f"the {side} Dirac operator")
     kind = "mono-left" if side == "left" else "mono-right"
-    ambient = space_basis(kind, m, k, S=S)
     theorem = "monogenic" if S == frozenset(range(m + 1)) else "mt"
-    report = _refine_report(theorem, m, None, k, labeled, ambient,
-                            grades=tuple(sorted(S)), note=f"side={side}")
-    return report, [basis for _, basis in labeled]
-
-
-def intersection_components(m: int, s: int, k: int) -> list[tuple[str, SubspaceBasis]]:
-    """Shared components of both refinements: the pair combinations
-    differ between the two kernels, so only the first three survive in
-    the intersection."""
-    return [
-        (f"H({s},{k})", hodge_space(m, s, k)),
-        (f"w*H({s - 1},{k - 1})", component_space("w", m, s - 1, k - 1)),
-        (f"d*H({s + 1},{k - 1})", component_space("d", m, s + 1, k - 1)),
-    ]
+    return _refine_report(theorem, m, None, k, labeled, [(kill, f"the {side} Dirac operator")],
+                          space_basis(kind, m, k, S=S).dim, grades=tuple(sorted(S)), note=f"side={side}")
 
 
 def harmonic_infra_intersection(m: int, s: int, k: int) -> tuple[TheoremReport, list[SubspaceBasis]]:
     """The mutual kernel of both Laplacians carries just the first three
     refinement components; the pair components drop out."""
-    labeled = intersection_components(m, s, k)
-    _certify_killed(labeled, laplacian, "the Laplacian")
-    _certify_killed(labeled, laplacian_tilde, "the twisted Laplacian")
-    keys = monomial_keys(m, s, k)
-    stacked = RationalMatrix.vstack([
-        operator_matrix(derived_operator("laplacian"), m, s, k),
-        operator_matrix(derived_operator("laplacian-tilde"), m, s, k),
-    ])
-    vectors = [poly_from_vector(m, keys, v) for v in nullspace(stacked)]
-    ambient = SubspaceBasis(m, f"harmonic&infra(m={m},s={s},k={k})", vectors)
-    report = _refine_report("infra-harmonic", m, s, k, labeled, ambient)
-    return report, [basis for _, basis in labeled]
+    ambient = _kernel_basis(("laplacian", "laplacian-tilde"), m, s, k,
+                            f"harmonic&infra(m={m},s={s},k={k})")
+    return _refine_report("infra-harmonic", m, s, k, intersection_components(m, s, k),
+                          [(laplacian, "the Laplacian"), (laplacian_tilde, "the twisted Laplacian")],
+                          ambient.dim)
+
+
+_BIGRADE_REFINEMENTS = {"homma": harmonic_components, "infra": infra_components,
+                        "infra-harmonic": intersection_components}
 
 
 def refine_decompose(p: CliffordPoly, theorem: str, S: Iterable[int] | None = None,
@@ -426,67 +407,46 @@ def refine_decompose(p: CliffordPoly, theorem: str, S: Iterable[int] | None = No
     refinements work bigrade by bigrade, the monogenic ones degree by
     degree because the X images mix neighboring grades.
     """
-    m = p.m
-    components: dict[str, CliffordPoly] = {}
-    if theorem in ("homma", "infra", "infra-harmonic"):
-        builder = {"homma": harmonic_components, "infra": infra_components,
-                   "infra-harmonic": intersection_components}[theorem]
-        for k, s, part in p.bigrade_split():
-            labeled = builder(m, s, k)
-            keys = monomial_keys(m, s, k)
-            components.update(project_onto(part, labeled, keys, f"{theorem} (s={s},k={k})"))
-    elif theorem in ("monogenic", "mt"):
-        S = frozenset(range(m + 1)) if S is None else frozenset(S)
-        by_degree: dict[int, CliffordPoly] = {}
-        for k, s, part in p.bigrade_split():
-            if s not in S:
-                raise TheoremViolation(f"input carries grade {s} outside the set {sorted(S)}",
-                                       witness=part)
-            by_degree[k] = by_degree.get(k, CliffordPoly.zero(m)) + part
-        for k in sorted(by_degree):
-            labeled = monogenic_components(m, k, S, side)
-            keys = monomial_keys(m, S, k)
-            components.update(project_onto(by_degree[k], labeled, keys,
-                                           f"{theorem} ({side}, k={k})"))
-    else:
-        raise ValueError(f"no refinement decomposition for theorem {theorem!r}")
-    return DecompositionResult(p, components)
+    if theorem in _BIGRADE_REFINEMENTS:
+        return _decompose(p, _BIGRADE_REFINEMENTS[theorem], theorem)
+    if theorem in ("monogenic", "mt"):
+        S = frozenset(range(p.m + 1)) if S is None else frozenset(S)
+        return _decompose(p, lambda m, grades, k: monogenic_components(m, k, grades, side),
+                          f"{theorem}, {side} side", grade_set=S)
+    raise ValueError(f"no refinement decomposition for theorem {theorem!r}")
 
 
 # ---------------------------------------------------------------------------
 # the classical towers
 
 
-def _x_power(m: int, p: int) -> CliffordPoly:
-    out = CliffordPoly.one(m)
-    x = CliffordPoly.vector_variable(m)
-    for _ in range(p):
-        out = out * x
-    return out
+def _tower_components(m: int, grades: int | frozenset[int], k: int, mode: str) -> Labeled:
+    """The layers of one classical tower at degree k, lowest power first:
 
+    harmonic:  |x|^{2p} Harm(s, k-2p)
+    infra:     x^p Infra(s, k-2p) x^p
+    monogenic: x^p Mono(k-p), values of every grade
 
-def _tower_components(m: int, s: int, k: int, mode: str) -> list[tuple[str, SubspaceBasis]]:
+    Each layer's lift (|x|^{2p} or x^p) is one product more than the last.
+    """
+    step = norm_squared_poly(m) if mode == "harmonic" else CliffordPoly.vector_variable(m)
+    depth = 1 if mode == "monogenic" else 2
+    lift = CliffordPoly.one(m)
     out = []
-    if mode == "harmonic":
-        r2 = norm_squared_poly(m)
-        factor = CliffordPoly.one(m)
-        for p in range(k // 2 + 1):
-            j = k - 2 * p
-            base = space_basis("harmonic", m, j, s=s)
-            label = f"|x|^{2 * p}*Harm({s},{j})"
-            if base.dim:
-                out.append((label, SubspaceBasis(m, label, [factor * v for v in base])))
-            factor = factor * r2
-    elif mode == "infra":
-        for p in range(k // 2 + 1):
-            j = k - 2 * p
-            xp = _x_power(m, p)
-            base = space_basis("infra", m, j, s=s)
-            label = f"x^{p}*Infra({s},{j})*x^{p}"
-            if base.dim:
-                out.append((label, SubspaceBasis(m, label, [xp * v * xp for v in base])))
-    else:
-        raise ValueError(f"unknown tower mode {mode!r}")
+    for p in range(k // depth + 1):
+        j = k - depth * p
+        if mode == "harmonic":
+            label, base = f"|x|^{2 * p}*Harm({grades},{j})", space_basis("harmonic", m, j, s=grades)
+            vectors = [lift * v for v in base]
+        elif mode == "infra":
+            label, base = f"x^{p}*Infra({grades},{j})*x^{p}", space_basis("infra", m, j, s=grades)
+            vectors = [lift * v * lift for v in base]
+        else:
+            label, base = f"x^{p}*Mono({j})", space_basis("mono-left", m, j)
+            vectors = [lift * v for v in base]
+        if base.dim:
+            out.append((label, SubspaceBasis(m, label, vectors)))
+        lift = lift * step
     return out
 
 
@@ -499,32 +459,11 @@ def classical_fischer_decompose(p: CliffordPoly, mode: str) -> DecompositionResu
     monogenic: per degree, left powers of x against monogenic layers;
                grades mix, so this tower works degree by degree.
     """
-    m = p.m
-    components: dict[str, CliffordPoly] = {}
-    if mode in ("harmonic", "infra"):
-        for k, s, part in p.bigrade_split():
-            labeled = _tower_components(m, s, k, mode)
-            keys = monomial_keys(m, s, k)
-            components.update(project_onto(part, labeled, keys, f"{mode} tower (s={s},k={k})"))
-    elif mode == "monogenic":
-        by_degree: dict[int, CliffordPoly] = {}
-        for k, _s, part in p.bigrade_split():
-            by_degree[k] = by_degree.get(k, CliffordPoly.zero(m)) + part
-        all_grades = frozenset(range(m + 1))
-        for k in sorted(by_degree):
-            labeled = []
-            for q in range(k + 1):
-                j = k - q
-                base = space_basis("mono-left", m, j)
-                label = f"x^{q}*Mono({j})"
-                if base.dim:
-                    xq = _x_power(m, q)
-                    labeled.append((label, SubspaceBasis(m, label, [xq * v for v in base])))
-            keys = monomial_keys(m, all_grades, k)
-            components.update(project_onto(by_degree[k], labeled, keys, f"monogenic tower (k={k})"))
-    else:
+    if mode not in TOWER_MODES:
         raise ValueError(f"unknown tower mode {mode!r}")
-    return DecompositionResult(p, components)
+    grade_set = frozenset(range(p.m + 1)) if mode == "monogenic" else None
+    return _decompose(p, lambda m, grades, k: _tower_components(m, grades, k, mode),
+                      f"{mode} tower", grade_set)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +510,8 @@ def verify_report(m: int, k_max: int, theorems: Iterable[str] | str = "all",
     budget, units that would start after the deadline are reported as
     skipped, distinct from any violation.
     """
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
     if theorems == "all":
         selected = list(THEOREM_ORDER)
     else:
@@ -583,81 +524,63 @@ def verify_report(m: int, k_max: int, theorems: Iterable[str] | str = "all",
     reports: list[TheoremReport] = []
     skipped: list[str] = []
 
-    units: list[tuple[str, str, Callable[[], list[TheoremReport]]]] = []
+    # (theorem, unit name, k, s, grades, certification): k, s and grades
+    # locate a failure that carries no report of its own
+    units: list[tuple[str, str, int, int | None, tuple[int, ...] | None,
+                      Callable[[], TheoremReport]]] = []
 
-    def add_unit(theorem: str, name: str, fn: Callable[[], list[TheoremReport]]) -> None:
-        units.append((theorem, name, fn))
-
-    def sample_reconstructions(theorem: str, k: int, s: int | None, grades, decomposer,
-                               note: str) -> TheoremReport:
-        count = 0
+    def sample_reconstructions(theorem: str, k: int, decomposer, note: str) -> TheoremReport:
         for _ in range(samples):
-            gset = grades if grades is not None else ((s,) if s is not None else tuple(range(m + 1)))
-            p = random_poly(m, k, gset, rng)
+            p = random_poly(m, k, tuple(range(m + 1)), rng)
             result = decomposer(p)
             if result.total() != p or not result.residual.is_zero:
                 raise TheoremViolation(f"{note}: reconstruction failed", witness=p)
-            count += 1
-        return TheoremReport(theorem=theorem, m=m, k=k, s=s,
-                             grades=tuple(grades) if grades is not None else None,
-                             ambient_dim=count, direct_sum=True, fills=True,
-                             note=f"{note}: {count} random reconstructions exact")
+        return TheoremReport(theorem=theorem, m=m, k=k, ambient_dim=samples, direct_sum=True, fills=True,
+                             note=f"{note}: {samples} random reconstructions exact")
 
+    per_bigrade = {
+        "h": h_bookkeeping_report,
+        "homma": lambda m, s, k: harmonic_refine(m, s, k)[0],
+        "infra": lambda m, s, k: inframonogenic_refine(m, s, k)[0],
+        "infra-harmonic": lambda m, s, k: harmonic_infra_intersection(m, s, k)[0],
+    }
+    all_grades = tuple(range(m + 1))
     for theorem in selected:
-        if theorem == "h":
-            for k in range(k_max + 1):
-                for s in range(m + 1):
-                    add_unit("h", f"h(s={s},k={k})",
-                             lambda s=s, k=k: [h_bookkeeping_report(m, s, k)])
-                add_unit("h", f"h-samples(k={k})",
-                         lambda k=k: [sample_reconstructions(
-                             "h", k, None, None, fischer_h_decompose, "word decomposition")])
-        elif theorem == "homma":
-            for k in range(k_max + 1):
-                for s in range(m + 1):
-                    add_unit("homma", f"homma(s={s},k={k})",
-                             lambda s=s, k=k: [harmonic_refine(m, s, k)[0]])
-        elif theorem == "monogenic":
-            for k in range(k_max + 1):
-                for side in ("left", "right"):
-                    add_unit("monogenic", f"monogenic({side},k={k})",
-                             lambda k=k, side=side: [monogenic_refine(m, k, side=side)[0]])
-        elif theorem == "mt":
-            subsets = []
-            for bits in range(1, 1 << (m + 1)):
-                subset = tuple(s for s in range(m + 1) if bits >> s & 1)
-                subsets.append(subset)
-            for k in range(k_max + 1):
-                for subset in subsets:
-                    add_unit("mt", f"mt(S={subset},k={k})",
-                             lambda k=k, subset=subset: [monogenic_refine(m, k, S=subset)[0]])
-        elif theorem == "infra":
-            for k in range(k_max + 1):
-                for s in range(m + 1):
-                    add_unit("infra", f"infra(s={s},k={k})",
-                             lambda s=s, k=k: [inframonogenic_refine(m, s, k)[0]])
-        elif theorem == "infra-harmonic":
-            for k in range(k_max + 1):
-                for s in range(m + 1):
-                    add_unit("infra-harmonic", f"infra-harmonic(s={s},k={k})",
-                             lambda s=s, k=k: [harmonic_infra_intersection(m, s, k)[0]])
-        elif theorem == "classical":
-            for mode in ("harmonic", "monogenic", "infra"):
+        if theorem == "classical":
+            for mode in TOWER_MODES:
                 for k in range(k_max + 1):
-                    add_unit("classical", f"classical({mode},k={k})",
-                             lambda mode=mode, k=k: [sample_reconstructions(
-                                 "classical", k, None, None,
-                                 lambda p: classical_fischer_decompose(p, mode),
-                                 f"{mode} tower")])
+                    units.append((theorem, f"classical({mode},k={k})", k, None, None,
+                                  lambda mode=mode, k=k: sample_reconstructions(
+                                      "classical", k, lambda p: classical_fischer_decompose(p, mode),
+                                      f"{mode} tower")))
+            continue
+        for k in range(k_max + 1):
+            if theorem in per_bigrade:
+                for s in range(m + 1):
+                    units.append((theorem, f"{theorem}(s={s},k={k})", k, s, None,
+                                  lambda fn=per_bigrade[theorem], s=s, k=k: fn(m, s, k)))
+                if theorem == "h":
+                    units.append(("h", f"h-samples(k={k})", k, None, None,
+                                  lambda k=k: sample_reconstructions(
+                                      "h", k, fischer_h_decompose, "word decomposition")))
+            elif theorem == "monogenic":
+                for side in ("left", "right"):
+                    units.append((theorem, f"monogenic({side},k={k})", k, None, all_grades,
+                                  lambda k=k, side=side: monogenic_refine(m, k, side=side)[0]))
+            else:  # mt: every nonempty grade set
+                for bits in range(1, 1 << (m + 1)):
+                    subset = tuple(s for s in all_grades if bits >> s & 1)
+                    units.append((theorem, f"mt(S={subset},k={k})", k, None, subset,
+                                  lambda k=k, subset=subset: monogenic_refine(m, k, S=subset)[0]))
 
-    for theorem, name, fn in units:
+    for theorem, name, k, s, grades, fn in units:
         if deadline is not None and time.monotonic() > deadline:
             skipped.append(name)
             continue
         try:
-            reports.extend(fn())
+            reports.append(fn())
         except TheoremViolation as exc:
-            reports.append(_failed_report(exc, theorem, m, -1, None))
+            reports.append(_failed_report(exc, theorem, m, k, s, grades))
 
     reports.sort(key=lambda r: (THEOREM_ORDER.index(r.theorem), r.k,
                                 r.s if r.s is not None else -1,

@@ -44,14 +44,6 @@ class RationalMatrix:
         raise AttributeError("RationalMatrix is immutable")
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int) -> "RationalMatrix":
         if any(len(col) != rows for col in columns):
             raise ValueError("column length mismatch")
@@ -66,15 +58,6 @@ class RationalMatrix:
         if any(mat.cols != cols for mat in mats):
             raise ValueError("column count mismatch in vstack")
         return cls([row for mat in mats for row in mat.entries], cols)
-
-    def mul_vec(self, v: Sequence) -> list[Fraction]:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        v = [Fraction(x) for x in v]
-        return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in self.entries]
-
-    def column(self, j: int) -> list[Fraction]:
-        return [row[j] for row in self.entries]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalMatrix):

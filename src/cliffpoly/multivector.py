@@ -249,31 +249,3 @@ class Multivector:
             c = parse_rational(term["coeff"])
             acc[mask] = acc.get(mask, Fraction(0)) + c
         return cls(m, acc)
-
-
-def vector_split_product(u: Multivector, v: Multivector) -> tuple[Multivector, Multivector]:
-    """Split u*v for a 1-vector u into (inner, outer) parts.
-
-    On the grade-s part v_s the two halves are
-
-        inner = (u v_s - (-1)^s v_s u) / 2     (grade s-1)
-        outer = (u v_s + (-1)^s v_s u) / 2     (grade s+1)
-
-    and they add back to the full product u*v.
-    """
-    if not u.grades() <= {1}:
-        raise ValueError(f"split product needs a pure 1-vector on the left, got grades {sorted(u.grades())}")
-    half = Fraction(1, 2)
-    inner = Multivector.zero(v.m)
-    outer = Multivector.zero(v.m)
-    for s in v.grades():
-        vs = v.grade_project(s)
-        uv = u * vs
-        vu = vs * u
-        if s % 2:
-            inner = inner + (uv + vu) * half
-            outer = outer + (uv - vu) * half
-        else:
-            inner = inner + (uv - vu) * half
-            outer = outer + (uv + vu) * half
-    return inner, outer

@@ -21,8 +21,8 @@ diagonal operators act as scalars:
     ferm_plus  -> s          (-sum_j e_j ^ e_j . , pointwise on values)
     ferm_minus -> m - s      (-sum_j e_j . e_j ^ , pointwise on values)
 
-The scalar forms are the implementation; the defining sums are kept as
-oracles for the identity tests.
+The scalar forms are the implementation; the defining sums, like the
+other written-out oracles, live with the tests (tests/oracles.py).
 
 Operator trees (Primitive/Compose/Sum/Scale) describe derived operators
 symbolically so exact matrices can be assembled for any one of them.
@@ -51,59 +51,42 @@ DOT = "d"
 # For a basis vector against a basis blade the inner/outer split is a
 # membership test: e_j * e_A lies in the lowering half exactly when j
 # occurs in A.  The four halves below rely on that; the tests pin them
-# to the signed-half formulas via vector_split_product.
+# to the signed-half formulas of the split-product oracle.
+
+
+def _half(p: CliffordPoly, differentiate: bool, lower: bool) -> CliffordPoly:
+    """sum_j e_j ^ q_j (lower False) or sum_j e_j . q_j (lower True), where
+    q_j is d/dx_j p (differentiate True) or x_j p (differentiate False)."""
+    shift = -1 if differentiate else 1
+    acc: dict[TermKey, Fraction] = {}
+    for (alpha, mask), c in p.terms.items():
+        for j0 in range(p.m):
+            weight = alpha[j0] if differentiate else 1
+            if weight and mask >> j0 & 1 == lower:
+                sign, nmask = blade_product(1 << j0, mask)
+                key = (alpha[:j0] + (alpha[j0] + shift,) + alpha[j0 + 1:], nmask)
+                acc[key] = acc.get(key, Fraction(0)) + c * (sign * weight)
+    return CliffordPoly(p.m, acc)
 
 
 def dirac_plus(p: CliffordPoly) -> CliffordPoly:
     """Grade-raising Dirac half: sum_j e_j ^ (d/dx_j p)."""
-    acc: dict[TermKey, Fraction] = {}
-    for (alpha, mask), c in p.terms.items():
-        for j0 in range(p.m):
-            if alpha[j0] and not mask >> j0 & 1:
-                sign, nmask = blade_product(1 << j0, mask)
-                down = alpha[:j0] + (alpha[j0] - 1,) + alpha[j0 + 1:]
-                key = (down, nmask)
-                acc[key] = acc.get(key, Fraction(0)) + sign * c * alpha[j0]
-    return CliffordPoly(p.m, acc)
+    return _half(p, differentiate=True, lower=False)
 
 
 def dirac_minus(p: CliffordPoly) -> CliffordPoly:
     """Grade-lowering Dirac half: sum_j e_j . (d/dx_j p)."""
-    acc: dict[TermKey, Fraction] = {}
-    for (alpha, mask), c in p.terms.items():
-        for j0 in range(p.m):
-            if alpha[j0] and mask >> j0 & 1:
-                sign, nmask = blade_product(1 << j0, mask)
-                down = alpha[:j0] + (alpha[j0] - 1,) + alpha[j0 + 1:]
-                key = (down, nmask)
-                acc[key] = acc.get(key, Fraction(0)) + sign * c * alpha[j0]
-    return CliffordPoly(p.m, acc)
+    return _half(p, differentiate=True, lower=True)
 
 
 def x_wedge(p: CliffordPoly) -> CliffordPoly:
     """Grade-raising multiplication half: sum_j x_j (e_j ^ p)."""
-    acc: dict[TermKey, Fraction] = {}
-    for (alpha, mask), c in p.terms.items():
-        for j0 in range(p.m):
-            if not mask >> j0 & 1:
-                sign, nmask = blade_product(1 << j0, mask)
-                up = alpha[:j0] + (alpha[j0] + 1,) + alpha[j0 + 1:]
-                key = (up, nmask)
-                acc[key] = acc.get(key, Fraction(0)) + sign * c
-    return CliffordPoly(p.m, acc)
+    return _half(p, differentiate=False, lower=False)
 
 
 def x_dot(p: CliffordPoly) -> CliffordPoly:
     """Grade-lowering multiplication half: sum_j x_j (e_j . p)."""
-    acc: dict[TermKey, Fraction] = {}
-    for (alpha, mask), c in p.terms.items():
-        for j0 in range(p.m):
-            if mask >> j0 & 1:
-                sign, nmask = blade_product(1 << j0, mask)
-                up = alpha[:j0] + (alpha[j0] + 1,) + alpha[j0 + 1:]
-                key = (up, nmask)
-                acc[key] = acc.get(key, Fraction(0)) + sign * c
-    return CliffordPoly(p.m, acc)
+    return _half(p, differentiate=False, lower=True)
 
 
 def x_full(p: CliffordPoly) -> CliffordPoly:
@@ -124,53 +107,6 @@ def ferm_plus(p: CliffordPoly) -> CliffordPoly:
 def ferm_minus(p: CliffordPoly) -> CliffordPoly:
     """Complementary grade operator: each term scaled by m - grade."""
     return CliffordPoly(p.m, {key: c * (p.m - blade_grade(key[1])) for key, c in p.terms.items()})
-
-
-# defining-sum oracles for the diagonal operators -----------------------------
-
-
-def euler_via_sum(p: CliffordPoly) -> CliffordPoly:
-    """sum_j x_j d/dx_j p, written out."""
-    out = CliffordPoly.zero(p.m)
-    for j in range(1, p.m + 1):
-        out = out + p.diff(j).times_variable(j)
-    return out
-
-
-def _wedge_const(j0: int, p: CliffordPoly) -> CliffordPoly:
-    acc: dict[TermKey, Fraction] = {}
-    for (alpha, mask), c in p.terms.items():
-        if not mask >> j0 & 1:
-            sign, nmask = blade_product(1 << j0, mask)
-            key = (alpha, nmask)
-            acc[key] = acc.get(key, Fraction(0)) + sign * c
-    return CliffordPoly(p.m, acc)
-
-
-def _dot_const(j0: int, p: CliffordPoly) -> CliffordPoly:
-    acc: dict[TermKey, Fraction] = {}
-    for (alpha, mask), c in p.terms.items():
-        if mask >> j0 & 1:
-            sign, nmask = blade_product(1 << j0, mask)
-            key = (alpha, nmask)
-            acc[key] = acc.get(key, Fraction(0)) + sign * c
-    return CliffordPoly(p.m, acc)
-
-
-def ferm_plus_via_sum(p: CliffordPoly) -> CliffordPoly:
-    """-sum_j e_j ^ (e_j . p), pointwise on values."""
-    out = CliffordPoly.zero(p.m)
-    for j0 in range(p.m):
-        out = out - _wedge_const(j0, _dot_const(j0, p))
-    return out
-
-
-def ferm_minus_via_sum(p: CliffordPoly) -> CliffordPoly:
-    """-sum_j e_j . (e_j ^ p), pointwise on values."""
-    out = CliffordPoly.zero(p.m)
-    for j0 in range(p.m):
-        out = out - _dot_const(j0, _wedge_const(j0, p))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +215,6 @@ def bigrade_image(spec: OperatorSpec, m: int, bigrades: Iterable[tuple[int, int]
     raise TypeError(f"not an operator spec: {spec!r}")
 
 
-def _p(name: str) -> Primitive:
-    return Primitive(name)
-
-
 def derived_operator(name: str) -> OperatorSpec:
     """Named operator trees over the four halves and three diagonals.
 
@@ -295,40 +227,17 @@ def derived_operator(name: str) -> OperatorSpec:
     X                xwedge A - xdot B
     X-tilde          xwedge A + xdot B
     """
-    table: dict[str, Callable[[], OperatorSpec]] = {
-        "dplus": lambda: _p("dplus"),
-        "dminus": lambda: _p("dminus"),
-        "xwedge": lambda: _p("xwedge"),
-        "xdot": lambda: _p("xdot"),
-        "euler": lambda: _p("euler"),
-        "ferm-plus": lambda: _p("ferm-plus"),
-        "ferm-minus": lambda: _p("ferm-minus"),
-        "xfull": lambda: Sum((_p("xwedge"), _p("xdot"))),
-        "dirac": lambda: Sum((_p("dplus"), _p("dminus"))),
-        "dirac-tilde": lambda: Sum((_p("dplus"), Scale(Fraction(-1), _p("dminus")))),
-        "laplacian": lambda: Scale(
-            Fraction(-1),
-            Sum((Compose((_p("dplus"), _p("dminus"))), Compose((_p("dminus"), _p("dplus"))))),
-        ),
-        "laplacian-tilde": lambda: Scale(
-            Fraction(-1),
-            Sum((Compose((_p("dplus"), _p("dminus"))),
-                 Scale(Fraction(-1), Compose((_p("dminus"), _p("dplus")))))),
-        ),
-        "A": lambda: Sum((_p("euler"), _p("ferm-plus"))),
-        "B": lambda: Sum((_p("euler"), _p("ferm-minus"))),
-        "X": lambda: Sum((
-            Compose((_p("xwedge"), Sum((_p("euler"), _p("ferm-plus"))))),
-            Scale(Fraction(-1), Compose((_p("xdot"), Sum((_p("euler"), _p("ferm-minus")))))),
-        )),
-        "X-tilde": lambda: Sum((
-            Compose((_p("xwedge"), Sum((_p("euler"), _p("ferm-plus"))))),
-            Compose((_p("xdot"), Sum((_p("euler"), _p("ferm-minus"))))),
-        )),
-    }
-    if name not in table:
-        raise ValueError(f"unknown operator {name!r}; expected one of {sorted(table)}")
-    return table[name]()
+    spec = OPERATORS.get(name)
+    if spec is None or callable(spec):
+        trees = sorted(key for key, op in OPERATORS.items() if not callable(op))
+        raise ValueError(f"unknown operator {name!r}; expected one of {trees}")
+    return spec
+
+
+def apply_named(name: str, p: CliffordPoly) -> CliffordPoly:
+    """Apply the operator registered in OPERATORS under the given name."""
+    op = OPERATORS[name]
+    return op(p) if callable(op) else apply_operator(op, p)
 
 
 def laplacian(p: CliffordPoly) -> CliffordPoly:
@@ -370,23 +279,35 @@ def dirac_right(p: CliffordPoly) -> CliffordPoly:
     return _signed_by_grade(p, dirac_tilde)
 
 
-def dirac_right_literal(p: CliffordPoly) -> CliffordPoly:
-    """Oracle: the written-out sum_j (d/dx_j P) e_j."""
-    out = CliffordPoly.zero(p.m)
-    for j in range(1, p.m + 1):
-        out = out + p.diff(j).mv_right_mul(Multivector.basis_vector(p.m, j))
-    return out
-
-
 def sandwich_x(p: CliffordPoly) -> CliffordPoly:
     """Two-sided multiplication x P x, per value grade (-1)^s (xdot xwedge - xwedge xdot) P."""
     return _signed_by_grade(p, lambda q: x_dot(x_wedge(q)) - x_wedge(x_dot(q)))
 
 
-def sandwich_x_literal(p: CliffordPoly) -> CliffordPoly:
-    """Oracle: multiply by the vector variable on both sides."""
-    x = CliffordPoly.vector_variable(p.m)
-    return x * p * x
+_P = {name: Primitive(name) for name in PRIMITIVES}
+_A = Sum((_P["euler"], _P["ferm-plus"]))
+_B = Sum((_P["euler"], _P["ferm-minus"]))
+_PLUS_MINUS = Compose((_P["dplus"], _P["dminus"]))
+_MINUS_PLUS = Compose((_P["dminus"], _P["dplus"]))
+
+# Every operator applied by name, in the order the CLI lists them: an
+# operator tree, or a function for the two per-grade sign twists, which
+# no tree expresses.
+OPERATORS: dict[str, Union[OperatorSpec, Callable[[CliffordPoly], CliffordPoly]]] = {
+    **{name: _P[name] for name in ("dplus", "dminus", "xwedge", "xdot")},
+    "xfull": Sum((_P["xwedge"], _P["xdot"])),
+    "dirac": Sum((_P["dplus"], _P["dminus"])),
+    "dirac-right": dirac_right,
+    "dirac-tilde": Sum((_P["dplus"], Scale(-1, _P["dminus"]))),
+    "laplacian": Scale(-1, Sum((_PLUS_MINUS, _MINUS_PLUS))),
+    "laplacian-tilde": Scale(-1, Sum((_PLUS_MINUS, Scale(-1, _MINUS_PLUS)))),
+    **{name: _P[name] for name in ("euler", "ferm-plus", "ferm-minus")},
+    "A": _A,
+    "B": _B,
+    "X": Sum((Compose((_P["xwedge"], _A)), Scale(-1, Compose((_P["xdot"], _B))))),
+    "X-tilde": Sum((Compose((_P["xwedge"], _A)), Compose((_P["xdot"], _B)))),
+    "sandwich-x": sandwich_x,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .linalg import (
     span_equal,
 )
 from .operators import OmegaWord, derived_operator, word_apply
-from .polynomial import CliffordPoly, monomial_keys, space_dim
+from .polynomial import CliffordPoly, monomial_keys
 
 
 class TheoremViolation(Exception):
@@ -48,14 +48,6 @@ class TheoremViolation(Exception):
 KINDS = ("hodge", "harmonic", "infra", "mono-left", "mono-right", "two-sided", "mono-S")
 
 _CACHE: dict[tuple, SubspaceBasis] = {}
-
-
-def monomial_basis(m: int, grades: Union[int, Iterable[int]], k: int) -> SubspaceBasis:
-    """All monomials x^alpha e_A of degree k with grade in the given set."""
-    gset = {grades} if isinstance(grades, int) else set(grades)
-    label = f"monomials(m={m},s={sorted(gset)},k={k})"
-    vectors = [CliffordPoly.monomial(m, alpha, mask) for alpha, mask in monomial_keys(m, gset, k)]
-    return SubspaceBasis(m, label, vectors)
 
 
 def omega_words(max_len: int) -> list[OmegaWord]:

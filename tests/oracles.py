@@ -1,0 +1,132 @@
+"""Written-out reference implementations that the tests compare the
+library against.
+
+Each oracle follows the defining formula term by term (sums over the
+generators, literal products with the vector variable, dense
+matrix-vector products) and shares no shortcut with the implementation
+it checks.
+"""
+
+from fractions import Fraction
+from typing import Sequence
+
+from cliffpoly.linalg import RationalMatrix
+from cliffpoly.multivector import Multivector, blade_product
+from cliffpoly.polynomial import CliffordPoly, TermKey
+
+
+# ---------------------------------------------------------------------------
+# multivectors
+
+
+def vector_split_product(u: Multivector, v: Multivector) -> tuple[Multivector, Multivector]:
+    """Split u*v for a 1-vector u into (inner, outer) parts.
+
+    On the grade-s part v_s the two halves are
+
+        inner = (u v_s - (-1)^s v_s u) / 2     (grade s-1)
+        outer = (u v_s + (-1)^s v_s u) / 2     (grade s+1)
+
+    and they add back to the full product u*v.
+    """
+    if not u.grades() <= {1}:
+        raise ValueError(f"split product needs a pure 1-vector on the left, got grades {sorted(u.grades())}")
+    half = Fraction(1, 2)
+    inner = Multivector.zero(v.m)
+    outer = Multivector.zero(v.m)
+    for s in v.grades():
+        vs = v.grade_project(s)
+        uv = u * vs
+        vu = vs * u
+        if s % 2:
+            inner = inner + (uv + vu) * half
+            outer = outer + (uv - vu) * half
+        else:
+            inner = inner + (uv - vu) * half
+            outer = outer + (uv + vu) * half
+    return inner, outer
+
+
+# ---------------------------------------------------------------------------
+# defining sums of the diagonal operators
+
+
+def euler_via_sum(p: CliffordPoly) -> CliffordPoly:
+    """sum_j x_j d/dx_j p, written out."""
+    out = CliffordPoly.zero(p.m)
+    for j in range(1, p.m + 1):
+        out = out + p.diff(j).times_variable(j)
+    return out
+
+
+def _wedge_const(j0: int, p: CliffordPoly) -> CliffordPoly:
+    acc: dict[TermKey, Fraction] = {}
+    for (alpha, mask), c in p.terms.items():
+        if not mask >> j0 & 1:
+            sign, nmask = blade_product(1 << j0, mask)
+            key = (alpha, nmask)
+            acc[key] = acc.get(key, Fraction(0)) + sign * c
+    return CliffordPoly(p.m, acc)
+
+
+def _dot_const(j0: int, p: CliffordPoly) -> CliffordPoly:
+    acc: dict[TermKey, Fraction] = {}
+    for (alpha, mask), c in p.terms.items():
+        if mask >> j0 & 1:
+            sign, nmask = blade_product(1 << j0, mask)
+            key = (alpha, nmask)
+            acc[key] = acc.get(key, Fraction(0)) + sign * c
+    return CliffordPoly(p.m, acc)
+
+
+def ferm_plus_via_sum(p: CliffordPoly) -> CliffordPoly:
+    """-sum_j e_j ^ (e_j . p), pointwise on values."""
+    out = CliffordPoly.zero(p.m)
+    for j0 in range(p.m):
+        out = out - _wedge_const(j0, _dot_const(j0, p))
+    return out
+
+
+def ferm_minus_via_sum(p: CliffordPoly) -> CliffordPoly:
+    """-sum_j e_j . (e_j ^ p), pointwise on values."""
+    out = CliffordPoly.zero(p.m)
+    for j0 in range(p.m):
+        out = out - _dot_const(j0, _wedge_const(j0, p))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# literal right and two-sided products
+
+
+def dirac_right_literal(p: CliffordPoly) -> CliffordPoly:
+    """The written-out sum_j (d/dx_j P) e_j."""
+    out = CliffordPoly.zero(p.m)
+    for j in range(1, p.m + 1):
+        out = out + p.diff(j).mv_right_mul(Multivector.basis_vector(p.m, j))
+    return out
+
+
+def sandwich_x_literal(p: CliffordPoly) -> CliffordPoly:
+    """Multiply by the vector variable on both sides."""
+    x = CliffordPoly.vector_variable(p.m)
+    return x * p * x
+
+
+# ---------------------------------------------------------------------------
+# dense matrices
+
+
+def identity_matrix(n: int) -> RationalMatrix:
+    return RationalMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+
+
+def zero_matrix(rows: int, cols: int) -> RationalMatrix:
+    return RationalMatrix([[0] * cols for _ in range(rows)], cols)
+
+
+def mul_vec(mat: RationalMatrix, v: Sequence) -> list[Fraction]:
+    if len(v) != mat.cols:
+        raise ValueError("vector length mismatch")
+    v = [Fraction(x) for x in v]
+    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in mat.entries]

@@ -27,20 +27,15 @@ from cliffpoly.operators import (
     dirac_minus,
     dirac_plus,
     dirac_right,
-    dirac_right_literal,
     dirac_tilde,
     euler,
-    euler_via_sum,
     ferm_minus,
-    ferm_minus_via_sum,
     ferm_plus,
-    ferm_plus_via_sum,
     h_action,
     laplacian,
     random_poly,
     sample_pin_elements,
     sandwich_x,
-    sandwich_x_literal,
     word_apply,
     x_dot,
     x_full,
@@ -48,6 +43,13 @@ from cliffpoly.operators import (
 )
 from cliffpoly.polynomial import CliffordPoly, monomial_keys, norm_squared_poly
 from cliffpoly.spaces import hodge_space
+from oracles import (
+    dirac_right_literal,
+    euler_via_sum,
+    ferm_minus_via_sum,
+    ferm_plus_via_sum,
+    sandwich_x_literal,
+)
 
 SEED = 812219
 

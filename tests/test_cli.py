@@ -260,3 +260,21 @@ def test_usage_error_exit_code():
          "--m", "2", "--s", "1", "--k", "0"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv, budget_env", [
+    (("--m", "9", "--kmax", "1"), None),
+    (("--m", "0", "--kmax", "1"), None),
+    (("--m", "2", "--kmax", "-1"), None),
+    (("--m", "2", "--kmax", "1", "--budget-seconds", "nan"), None),
+    (("--m", "2", "--kmax", "1"), "nan"),
+])
+def test_verify_rejects_bad_bounds(capsys, monkeypatch, argv, budget_env):
+    if budget_env is None:
+        monkeypatch.delenv("CLIFFPOLY_BUDGET_SECONDS", raising=False)
+    else:
+        monkeypatch.setenv("CLIFFPOLY_BUDGET_SECONDS", budget_env)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cliffpoly: ")

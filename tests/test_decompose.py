@@ -403,3 +403,20 @@ def test_verify_report_deterministic():
 def test_verify_report_rejects_unknown_theorem():
     with pytest.raises(ValueError):
         verify_report(2, 1, theorems=["fourier"])
+
+
+def test_verify_report_failure_keeps_its_unit(monkeypatch):
+    import cliffpoly.decompose as dec
+
+    real = dec.laplacian
+    monkeypatch.setattr(dec, "laplacian", lambda p: p if p.bigrade() == (2, 1) else real(p))
+    summary = verify_report(3, 2, theorems=["homma"])
+    assert not summary.ok
+    (report,) = [r for r in summary.reports if not r.ok]
+    assert (report.theorem, report.m, report.k, report.s) == ("homma", 3, 2, 1)
+    assert report.witness is not None
+
+
+def test_verify_report_rejects_negative_kmax():
+    with pytest.raises(ValueError):
+        verify_report(2, -1)

@@ -24,6 +24,7 @@ from cliffpoly.linalg import (
 )
 from cliffpoly.operators import derived_operator, random_poly
 from cliffpoly.polynomial import CliffordPoly, monomial_keys
+from oracles import identity_matrix, mul_vec, zero_matrix
 
 SEED = 40320
 
@@ -83,9 +84,9 @@ def test_rref_idempotent_and_rank_bounds():
 
 
 def test_rref_structured_cases():
-    ident = RationalMatrix.identity(4)
+    ident = identity_matrix(4)
     assert rref(ident).matrix == ident
-    z = RationalMatrix.zero(3, 5)
+    z = zero_matrix(3, 5)
     assert rref(z).rank == 0 and rref(z).pivots == ()
     empty = RationalMatrix([], cols=4)
     assert rref(empty).rank == 0
@@ -100,7 +101,7 @@ def test_nullspace_property():
         kernel = nullspace(mat)
         assert len(kernel) == cols - rank(mat)
         for v in kernel:
-            assert all(x == 0 for x in mat.mul_vec(v))
+            assert all(x == 0 for x in mul_vec(mat, v))
         # kernel vectors are independent by construction: each owns a free column
         if kernel:
             km = RationalMatrix(kernel)
@@ -230,7 +231,7 @@ def test_operator_matrix_consistent_with_application():
             p = random_poly(m, k, grades, rng)
             from cliffpoly.operators import apply_operator
             image = apply_operator(spec, p)
-            assert mat.mul_vec(poly_vector(p, in_keys)) == poly_vector(image, out_keys)
+            assert mul_vec(mat, poly_vector(p, in_keys)) == poly_vector(image, out_keys)
 
 
 def test_operator_matrix_empty_image():

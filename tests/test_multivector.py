@@ -15,8 +15,8 @@ from cliffpoly.multivector import (
     blade_product,
     format_rational,
     parse_rational,
-    vector_split_product,
 )
+from oracles import vector_split_product
 
 
 def oracle_blade_product(a: int, b: int) -> tuple[int, int]:

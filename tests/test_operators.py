@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from cliffpoly.multivector import Multivector, vector_split_product
+from cliffpoly.multivector import Multivector
 from cliffpoly.operators import (
     OmegaWord,
     PinElement,
@@ -17,27 +17,30 @@ from cliffpoly.operators import (
     dirac_minus,
     dirac_plus,
     dirac_right,
-    dirac_right_literal,
     dirac_tilde,
     euler,
-    euler_via_sum,
     ferm_minus,
-    ferm_minus_via_sum,
     ferm_plus,
-    ferm_plus_via_sum,
     h_action,
     laplacian,
     laplacian_tilde,
     random_poly,
     sample_pin_elements,
     sandwich_x,
-    sandwich_x_literal,
     word_apply,
     x_dot,
     x_full,
     x_wedge,
 )
 from cliffpoly.polynomial import CliffordPoly, norm_squared_poly
+from oracles import (
+    dirac_right_literal,
+    euler_via_sum,
+    ferm_minus_via_sum,
+    ferm_plus_via_sum,
+    sandwich_x_literal,
+    vector_split_product,
+)
 
 SEED = 20260822
 
