@@ -139,7 +139,7 @@ def project_onto(part: CliffordPoly, labeled: Labeled, context: str) -> dict[str
     if not vectors:
         raise TheoremViolation(f"{context}: no components available", witness=part)
     try:
-        coords = iter(coords_in_basis(part, SubspaceBasis(part.m, context, vectors, certify=False)))
+        coords = iter(coords_in_basis(part, vectors))
     except NotInSpan:
         raise TheoremViolation(f"{context}: polynomial escapes the component span",
                                witness=part) from None

@@ -1,10 +1,14 @@
 """Exact rational linear algebra over the polynomial spaces.
 
-Dense matrices of Fractions.  Forward elimination is fraction-free over
-integers with per-row content reduction to keep entries small; a short
-Fraction back-substitution then yields the reduced row echelon form.
-Pivots are always the first nonzero entry scanning top to bottom, so
-every result is deterministic.
+Dense matrices of Fractions, admitted by the coefficient rule of the
+polynomials: int or Fraction, nothing else.  `rref` is the one
+elimination, a single fraction-free Gauss-Jordan pass: every row is
+scaled to a primitive integer row, each pivot clears its column above
+and below with integer updates that keep the rows primitive, rows that
+vanish are dropped, and at the end each pivot row is divided once by
+its pivot.  Rank, kernel, span equality, direct sums and coordinates
+all read that result; the reduced row echelon form is unique, so every
+result is deterministic.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .multivector import _as_fraction
 from .operators import OperatorSpec, apply_operator, bigrade_image
 from .polynomial import CliffordPoly, TermKey, monomial_keys, term_sort_key
 
@@ -26,7 +31,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence], cols: int | None = None):
-        entries = [[Fraction(x) for x in row] for row in entries]
+        entries = [[_as_fraction(x) for x in row] for row in entries]
         if entries:
             cols_found = len(entries[0])
             if any(len(row) != cols_found for row in entries):
@@ -75,57 +80,48 @@ class RrefResult:
     rank: int
 
 
-def _primitive_int_row(row: Sequence[Fraction]) -> list[int]:
-    denom = math.lcm(*(x.denominator for x in row)) if row else 1
-    ints = [int(x * denom) for x in row]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+def _primitive(row: list[int]) -> list[int] | None:
+    """The row divided by the gcd of its entries; None for a zero row."""
+    g = math.gcd(*row)
+    if not g:
+        return None
+    return [v // g for v in row] if g > 1 else row
+
+
+def _primitive_int_row(row: Sequence[Fraction]) -> list[int] | None:
+    denom = math.lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (denom // x.denominator) for x in row])
+
+
+def _clear(row: list[int], base: list[int], c: int) -> list[int] | None:
+    """The row with its column-c entry cleared by the pivot row base."""
+    x = row[c]
+    if not x:
+        return row
+    piv = base[c]
+    return _primitive([a * piv - b * x for a, b in zip(row, base)])
 
 
 def rref(mat: RationalMatrix) -> RrefResult:
-    nrows, ncols = mat.rows, mat.cols
-    work = [_primitive_int_row(row) for row in mat.entries]
+    ncols = mat.cols
+    pending = [row for row in map(_primitive_int_row, mat.entries) if row]
+    reduced: list[list[int]] = []
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
-        if pivot_row is None:
+        if not pending:
+            break
+        i = next((i for i, row in enumerate(pending) if row[c]), None)
+        if i is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        piv = work[r][c]
-        base = work[r]
-        for l in range(r + 1, nrows):
-            x = work[l][c]
-            if x:
-                row = [a * piv - b * x for a, b in zip(work[l], base)]
-                g = 0
-                for v in row:
-                    g = math.gcd(g, v)
-                    if g == 1:
-                        break
-                work[l] = [v // g for v in row] if g > 1 else row
+        base = pending.pop(i)
+        reduced = [_clear(row, base, c) for row in reduced]
+        pending = [row for row in (_clear(row, base, c) for row in pending) if row]
+        reduced.append(base)
         pivots.append(c)
-        r += 1
-    rank = r
-    reduced = [[Fraction(x) for x in row] for row in work[:rank]]
-    for i in range(rank):
-        piv = reduced[i][pivots[i]]
-        if piv != 1:
-            reduced[i] = [x / piv for x in reduced[i]]
-    for i in reversed(range(rank)):
-        c = pivots[i]
-        for t in range(i):
-            x = reduced[t][c]
-            if x:
-                reduced[t] = [a - x * b for a, b in zip(reduced[t], reduced[i])]
-    full = reduced + [[Fraction(0)] * ncols for _ in range(nrows - rank)]
-    return RrefResult(RationalMatrix(full, ncols), tuple(pivots), rank)
+    zero = Fraction(0)
+    full = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(reduced, pivots)]
+    full += [[zero] * ncols for _ in range(mat.rows - len(pivots))]
+    return RrefResult(RationalMatrix(full, ncols), tuple(pivots), len(pivots))
 
 
 def rank(mat: RationalMatrix) -> int:
@@ -183,17 +179,15 @@ class SubspaceBasis:
 
     __slots__ = ("m", "label", "vectors")
 
-    def __init__(self, m: int, label: str, vectors: Iterable[CliffordPoly], certify: bool = True):
+    def __init__(self, m: int, label: str, vectors: Iterable[CliffordPoly]):
         vectors = tuple(vectors)
         for v in vectors:
             if v.m != m:
                 raise ValueError("basis vectors must share one algebra")
             if v.is_zero:
                 raise ValueError(f"zero vector in basis {label!r}")
-        if certify and vectors:
-            keys = keys_union(vectors)
-            if rref(rows_matrix(vectors, keys)).rank != len(vectors):
-                raise ValueError(f"dependent vectors in basis {label!r}")
+        if rank(rows_matrix(vectors, keys_union(vectors))) != len(vectors):
+            raise ValueError(f"dependent vectors in basis {label!r}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "vectors", vectors)
@@ -216,15 +210,12 @@ class SubspaceBasis:
 
 
 def span_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
-    """Same span, decided by comparing reduced row echelon forms."""
+    """Same span: both bases are independent, so the spans agree exactly
+    when the union has the rank of each."""
     if a.dim != b.dim:
         return False
-    if a.dim == 0:
-        return True
-    keys = keys_union(list(a) + list(b))
-    ra = rref(rows_matrix(a.vectors, keys))
-    rb = rref(rows_matrix(b.vectors, keys))
-    return ra.rank == rb.rank and ra.matrix.entries[: ra.rank] == rb.matrix.entries[: rb.rank]
+    union = a.vectors + b.vectors
+    return rank(rows_matrix(union, keys_union(union))) == a.dim
 
 
 @dataclass(frozen=True)
@@ -242,28 +233,28 @@ def direct_sum_check(parts: Sequence[SubspaceBasis], ambient_dim: int | None = N
     vectors = [v for part in parts for v in part.vectors]
     dims = tuple(part.dim for part in parts)
     total = len(vectors)
-    if vectors:
-        keys = list(ambient_keys) if ambient_keys is not None else keys_union(vectors)
-        rk = rref(rows_matrix(vectors, keys)).rank
-    else:
-        rk = 0
+    keys = ambient_keys if ambient_keys is not None else keys_union(vectors)
+    rk = rank(rows_matrix(vectors, keys))
     fills = None if ambient_dim is None else rk == ambient_dim
     return DirectSumReport(dims, total, rk, rk == total, fills)
 
 
-def coords_in_basis(p: CliffordPoly, basis: SubspaceBasis) -> list[Fraction]:
-    """Coordinates of p in the basis; raises NotInSpan if p escapes it."""
+def coords_in_basis(p: CliffordPoly, vectors: Iterable[CliffordPoly]) -> list[Fraction]:
+    """Coordinates of p over independent polynomials (a SubspaceBasis or
+    any sequence); raises NotInSpan if p escapes their span."""
+    polys = [*vectors, p]
+    if any(v.m != p.m for v in polys):
+        raise ValueError("vectors and polynomial must share one algebra")
+    n = len(polys) - 1
     if p.is_zero:
-        return [Fraction(0)] * basis.dim
-    keys = keys_union(list(basis.vectors) + [p])
-    columns = [poly_vector(v, keys) for v in basis.vectors] + [poly_vector(p, keys)]
-    rr = rref(RationalMatrix.from_columns(columns, len(keys)))
-    n = basis.dim
-    if any(piv == n for piv in rr.pivots):
-        raise NotInSpan(f"polynomial outside span of basis {basis.label!r}")
+        return [Fraction(0)] * n
+    keys = keys_union(polys)
+    rr = rref(RationalMatrix.from_columns([poly_vector(v, keys) for v in polys], len(keys)))
+    if n in rr.pivots:
+        raise NotInSpan("polynomial outside the span of the given vectors")
     coords = [Fraction(0)] * n
-    for row_idx, piv in enumerate(rr.pivots):
-        coords[piv] = rr.matrix.entries[row_idx][n]
+    for row, piv in zip(rr.matrix.entries, rr.pivots):
+        coords[piv] = row[n]
     return coords
 
 

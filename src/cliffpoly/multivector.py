@@ -25,7 +25,7 @@ Scalar = Union[int, Fraction]
 
 
 def _check_m(m: int) -> None:
-    if not isinstance(m, int) or not 1 <= m <= MAX_GENERATORS:
+    if type(m) is not int or not 1 <= m <= MAX_GENERATORS:
         raise ValueError(f"number of generators must be an integer in 1..{MAX_GENERATORS}, got {m!r}")
 
 
@@ -35,7 +35,7 @@ def blade_from_indices(indices: Iterable[int], m: int) -> int:
     mask = 0
     prev = 0
     for i in indices:
-        if not isinstance(i, int) or not 1 <= i <= m:
+        if type(i) is not int or not 1 <= i <= m:
             raise ValueError(f"blade index {i!r} outside 1..{m}")
         if i <= prev:
             raise ValueError(f"blade indices must be strictly increasing, got repeat/misorder at {i}")
@@ -79,7 +79,8 @@ def _as_fraction(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" with optional leading minus.  Nothing else.
+    """Parse "p" or "p/q" in ASCII digits with optional leading minus.
+    Nothing else.
 
     Rejects decimal and exponent forms so no float notation can sneak
     into exact data.
@@ -88,7 +89,7 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"rational coefficient must be a string, got {type(text).__name__}")
     body = text[1:] if text.startswith("-") else text
     num, slash, den = body.partition("/")
-    if not num.isdigit() or (slash and not den.isdigit()):
+    if not body.isascii() or not num.isdigit() or (slash and not den.isdigit()):
         raise ValueError(f"malformed rational {text!r}; expected p or p/q in integers")
     if slash and int(den) == 0:
         raise ValueError(f"zero denominator in rational {text!r}")

@@ -44,7 +44,7 @@ def term_sort_key(key: TermKey):
 
 def _check_alpha(alpha, m: int) -> MultiIndex:
     alpha = tuple(alpha)
-    if len(alpha) != m or any(not isinstance(a, int) or a < 0 for a in alpha):
+    if len(alpha) != m or any(type(a) is not int or a < 0 for a in alpha):
         raise ValueError(f"multi-index must be {m} nonnegative integers, got {alpha!r}")
     return alpha
 

@@ -121,6 +121,21 @@ def test_float_coefficient_rejected(capsys, tmp_path):
     assert code == 2 and "rational" in err
 
 
+@pytest.mark.parametrize("doc, needle", [
+    ({"m": True, "terms": []}, "generators"),
+    ({"m": 1, "terms": [{"alpha": [True], "blade": [], "coeff": "1"}]}, "multi-index"),
+    ({"m": 1, "terms": [{"alpha": [1], "blade": [True], "coeff": "1"}]}, "blade index"),
+    ({"m": 1, "terms": [{"alpha": [1], "blade": [], "coeff": "\u0663/\u0662"}]}, "rational"),
+    ({"m": 1, "terms": [{"alpha": [1], "blade": [], "coeff": "1/\u0662"}]}, "rational"),
+])
+def test_booleans_and_non_ascii_digits_rejected(capsys, tmp_path, doc, needle):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "apply", "--op", "dirac", "--input", str(bad))
+    assert code == 2 and out == ""
+    assert needle in err
+
+
 def test_missing_input_file(capsys):
     code, _, err = run_cli(capsys, "apply", "--op", "dirac", "--input", "/no/such/file.json")
     assert code == 2 and "cannot read" in err

@@ -60,11 +60,35 @@ def random_matrix(rng, rows, cols, density=0.55):
              for _ in range(cols)] for _ in range(rows)]
 
 
+def product_matrix(rng, rows, inner, cols):
+    """B*C with B rows x inner and C inner x cols: rank at most inner."""
+    b = random_matrix(rng, rows, inner, density=0.8)
+    c = random_matrix(rng, inner, cols, density=0.8)
+    return [[sum((b[i][t] * c[t][j] for t in range(inner)), Fraction(0)) for j in range(cols)]
+            for i in range(rows)]
+
+
+def rank_deficient_matrices(rng):
+    """Inputs whose elimination clears entries above pivots and meets zero rows."""
+    for rows, inner, cols in [(4, 1, 5), (6, 2, 6), (7, 3, 9), (12, 2, 8), (9, 3, 4)]:
+        yield product_matrix(rng, rows, inner, cols)
+    base = random_matrix(rng, 5, 7)
+    yield base + [list(base[1]), list(base[3]), [-2 * x for x in base[0]]]
+    zero_rows = random_matrix(rng, 6, 8)
+    zero_rows[0] = zero_rows[4] = [Fraction(0)] * 8
+    yield zero_rows
+    zero_cols = random_matrix(rng, 7, 6)
+    for row in zero_cols:
+        row[0] = row[3] = Fraction(0)
+    yield zero_cols
+    yield [[Fraction(0)] * 5 for _ in range(4)]
+
+
 def test_rref_matches_textbook_oracle():
     rng = Random(SEED)
     shapes = [(1, 1), (2, 3), (3, 2), (4, 4), (5, 8), (8, 5), (10, 14), (20, 30), (40, 60)]
-    for rows, cols in shapes:
-        entries = random_matrix(rng, rows, cols)
+    inputs = [random_matrix(rng, rows, cols) for rows, cols in shapes]
+    for entries in inputs + list(rank_deficient_matrices(rng)):
         got = rref(RationalMatrix(entries))
         want_entries, want_pivots = oracle_rref(entries)
         assert got.pivots == want_pivots
@@ -120,6 +144,10 @@ def test_matrix_validation():
         RationalMatrix([[1, 2]], cols=3)
     with pytest.raises(ValueError):
         RationalMatrix.vstack([RationalMatrix([[1, 2]]), RationalMatrix([[1, 2, 3]])])
+    with pytest.raises(TypeError):
+        RationalMatrix([[0.5]])
+    with pytest.raises(TypeError):
+        RationalMatrix([["1/2"]])
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +216,12 @@ def test_coords_in_basis():
     assert coords_in_basis(CliffordPoly.zero(m), basis) == [0, 0]
     with pytest.raises(NotInSpan):
         coords_in_basis(x1 * x1, basis)
+    y1 = CliffordPoly.variable(3, 1)
+    with pytest.raises(ValueError):
+        coords_in_basis(y1, basis)
+    with pytest.raises(ValueError):
+        coords_in_basis(CliffordPoly.zero(3), basis)
+    assert coords_in_basis(x1.scale(2), [x1 + x2, x1 - x2]) == coords
 
 
 def test_direct_sum_check():
