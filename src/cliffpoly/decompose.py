@@ -13,35 +13,39 @@ input with residual exactly zero.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Sequence
 
 from .linalg import NotInSpan, SubspaceBasis, coords_in_basis, direct_sum_check
+from .multivector import _check_m
 from .operators import (
     OmegaWord,
+    apply_named,
     apply_operator,
     derived_operator,
-    dirac,
-    dirac_right,
-    laplacian,
     laplacian_tilde,
     random_poly,
     x_dot,
     x_wedge,
 )
-from .polynomial import CliffordPoly, monomial_keys, norm_squared_poly, space_dim
+from .polynomial import CliffordPoly, monomial_keys, norm_squared_poly
 from .spaces import (
+    KERNELS,
     TheoremViolation,
-    _kernel_basis,
     component_space,
     hodge_space,
+    kernel_dim,
     omega_words,
     space_basis,
 )
 
 DEFAULT_SEED = 7021
+
+# random reconstructions per sampled unit of the verification sweep
+SAMPLES = 2
 
 # components as (label, basis) pairs
 Labeled = Sequence[tuple[str, SubspaceBasis]]
@@ -218,7 +222,7 @@ def fischer_h_decompose(p: CliffordPoly) -> DecompositionResult:
 
 def h_bookkeeping_report(m: int, s: int, k: int) -> TheoremReport:
     """Certify that the word components tile the full bigrade exactly."""
-    return _refine_report("h", m, s, k, _h_components(m, s, k), (), space_dim(m, s, k))[0]
+    return _refine_report("h", m, s, k, _h_components(m, s, k), ())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,26 +230,27 @@ def h_bookkeeping_report(m: int, s: int, k: int) -> TheoremReport:
 
 
 def _refine_report(theorem: str, m: int, s: int | None, k: int, labeled: Labeled,
-                   kills: Sequence[tuple[Callable[[CliffordPoly], CliffordPoly], str]],
-                   ambient_dim: int, grades: tuple[int, ...] | None = None,
+                   op_names: Sequence[str], grades: tuple[int, ...] | None = None,
                    note: str = "") -> tuple[TheoremReport, list[SubspaceBasis]]:
-    """Certify that each operator of kills annihilates every component
+    """Certify that each named operator annihilates every component
     vector, and that the components, which must lie in bigrade (s, k) or
-    in degree k over the grade set, tile an ambient_dim-dimensional space
-    as a direct sum."""
-    for kill, what in kills:
+    in degree k over the grade set, tile the joint kernel of the named
+    operators there as a direct sum."""
+    for name in op_names:
         for label, basis in labeled:
             for v in basis:
-                if not kill(v).is_zero:
-                    raise TheoremViolation(f"component {label} is not annihilated by {what}", witness=v)
+                if not apply_named(name, v).is_zero:
+                    raise TheoremViolation(f"component {label} is not annihilated by {name}", witness=v)
+    where = s if s is not None else grades
+    ambient_dim = kernel_dim(op_names, m, where, k)
     live = [(label, basis) for label, basis in labeled if basis.dim]
-    check = direct_sum_check([basis for _, basis in live], ambient_dim=ambient_dim,
-                             ambient_keys=monomial_keys(m, s if s is not None else grades, k))
+    check = direct_sum_check([basis for _, basis in live], ambient_dim,
+                             ambient_keys=monomial_keys(m, where, k))
     report = TheoremReport(
         theorem=theorem, m=m, k=k, s=s, grades=grades,
         labels=tuple(label for label, _ in live),
         dims=check.dims, ambient_dim=ambient_dim,
-        direct_sum=check.independent, fills=bool(check.fills_ambient), note=note,
+        direct_sum=check.independent, fills=check.fills_ambient, note=note,
     )
     if not report.ok:
         raise TheoremViolation(f"{theorem} refinement fails at (m={m},s={s},k={k})", report=report)
@@ -291,8 +296,7 @@ def harmonic_components(m: int, s: int, k: int) -> list[tuple[str, SubspaceBasis
 
 def harmonic_refine(m: int, s: int, k: int) -> tuple[TheoremReport, list[SubspaceBasis]]:
     """Certify that the four harmonic components tile the harmonics."""
-    return _refine_report("homma", m, s, k, harmonic_components(m, s, k),
-                          [(laplacian, "the Laplacian")], space_basis("harmonic", m, k, s=s).dim)
+    return _refine_report("homma", m, s, k, harmonic_components(m, s, k), KERNELS["harmonic"])
 
 
 def infra_components(m: int, s: int, k: int) -> list[tuple[str, SubspaceBasis]]:
@@ -317,9 +321,7 @@ def inframonogenic_refine(m: int, s: int, k: int) -> tuple[TheoremReport, list[S
             if laplacian_tilde(x_dot(x_wedge(v))) != v.scale(2 * (c1 + 1) * c2):
                 raise TheoremViolation(
                     f"dot-wedge eigenvalue failed at (m={m},s={s},k={k})", witness=v)
-    return _refine_report("infra", m, s, k, infra_components(m, s, k),
-                          [(laplacian_tilde, "the twisted Laplacian")],
-                          space_basis("infra", m, k, s=s).dim)
+    return _refine_report("infra", m, s, k, infra_components(m, s, k), KERNELS["infra"])
 
 
 def _x_image(m: int, s: int, k_source: int, side: str) -> SubspaceBasis:
@@ -376,21 +378,16 @@ def monogenic_refine(m: int, k: int, S: Iterable[int] | None = None,
     monogenic space against the computed kernel."""
     S = frozenset(range(m + 1)) if S is None else frozenset(S)
     labeled = monogenic_components(m, k, S, side)
-    kill = dirac if side == "left" else dirac_right
-    kind = "mono-left" if side == "left" else "mono-right"
     theorem = "monogenic" if S == frozenset(range(m + 1)) else "mt"
-    return _refine_report(theorem, m, None, k, labeled, [(kill, f"the {side} Dirac operator")],
-                          space_basis(kind, m, k, S=S).dim, grades=tuple(sorted(S)), note=f"side={side}")
+    return _refine_report(theorem, m, None, k, labeled, KERNELS[f"mono-{side}"],
+                          grades=tuple(sorted(S)), note=f"side={side}")
 
 
 def harmonic_infra_intersection(m: int, s: int, k: int) -> tuple[TheoremReport, list[SubspaceBasis]]:
     """The mutual kernel of both Laplacians carries just the first three
     refinement components; the pair components drop out."""
-    ambient = _kernel_basis(("laplacian", "laplacian-tilde"), m, s, k,
-                            f"harmonic&infra(m={m},s={s},k={k})")
     return _refine_report("infra-harmonic", m, s, k, intersection_components(m, s, k),
-                          [(laplacian, "the Laplacian"), (laplacian_tilde, "the twisted Laplacian")],
-                          ambient.dim)
+                          KERNELS["harmonic"] + KERNELS["infra"])
 
 
 _BIGRADE_REFINEMENTS = {"homma": harmonic_components, "infra": infra_components,
@@ -502,16 +499,19 @@ def _failed_report(exc: TheoremViolation, theorem: str, m: int, k: int, s: int |
 
 
 def verify_report(m: int, k_max: int, theorems: Iterable[str] | str = "all",
-                  budget_seconds: float | None = None, seed: int = DEFAULT_SEED,
-                  samples: int = 2) -> VerifySummary:
+                  budget_seconds: float | None = None, seed: int = DEFAULT_SEED) -> VerifySummary:
     """Run the selected certifications for all bigrades up to k_max.
 
     Violations are recorded, never fatal; the sweep continues.  With a
     budget, units that would start after the deadline are reported as
-    skipped, distinct from any violation.
+    skipped, distinct from any violation.  Bad arguments raise ValueError
+    before any unit runs.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    _check_m(m)
+    if type(k_max) is not int or k_max < 0:
+        raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")
+    if budget_seconds is not None and math.isnan(budget_seconds):
+        raise ValueError("budget_seconds must be a number of seconds, got nan")
     if theorems == "all":
         selected = list(THEOREM_ORDER)
     else:
@@ -519,6 +519,8 @@ def verify_report(m: int, k_max: int, theorems: Iterable[str] | str = "all",
         unknown = [t for t in selected if t not in THEOREM_ORDER]
         if unknown:
             raise ValueError(f"unknown theorems {unknown}; expected among {list(THEOREM_ORDER)}")
+        if not selected:
+            raise ValueError("theorems must name at least one theorem")
     rng = Random(seed)
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     reports: list[TheoremReport] = []
@@ -530,13 +532,13 @@ def verify_report(m: int, k_max: int, theorems: Iterable[str] | str = "all",
                       Callable[[], TheoremReport]]] = []
 
     def sample_reconstructions(theorem: str, k: int, decomposer, note: str) -> TheoremReport:
-        for _ in range(samples):
+        for _ in range(SAMPLES):
             p = random_poly(m, k, tuple(range(m + 1)), rng)
             result = decomposer(p)
             if result.total() != p or not result.residual.is_zero:
                 raise TheoremViolation(f"{note}: reconstruction failed", witness=p)
-        return TheoremReport(theorem=theorem, m=m, k=k, ambient_dim=samples, direct_sum=True, fills=True,
-                             note=f"{note}: {samples} random reconstructions exact")
+        return TheoremReport(theorem=theorem, m=m, k=k, ambient_dim=SAMPLES, direct_sum=True, fills=True,
+                             note=f"{note}: {SAMPLES} random reconstructions exact")
 
     per_bigrade = {
         "h": h_bookkeeping_report,

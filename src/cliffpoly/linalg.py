@@ -54,16 +54,6 @@ class RationalMatrix:
             raise ValueError("column length mismatch")
         return cls([[col[r] for col in columns] for r in range(rows)], len(columns))
 
-    @classmethod
-    def vstack(cls, mats: Iterable["RationalMatrix"]) -> "RationalMatrix":
-        mats = list(mats)
-        if not mats:
-            raise ValueError("nothing to stack")
-        cols = mats[0].cols
-        if any(mat.cols != cols for mat in mats):
-            raise ValueError("column count mismatch in vstack")
-        return cls([row for mat in mats for row in mat.entries], cols)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalMatrix):
             return self.rows == other.rows and self.cols == other.cols and self.entries == other.entries
@@ -224,10 +214,10 @@ class DirectSumReport:
     total: int
     rank: int
     independent: bool
-    fills_ambient: bool | None
+    fills_ambient: bool
 
 
-def direct_sum_check(parts: Sequence[SubspaceBasis], ambient_dim: int | None = None,
+def direct_sum_check(parts: Sequence[SubspaceBasis], ambient_dim: int,
                      ambient_keys: Sequence[TermKey] | None = None) -> DirectSumReport:
     """Do the given bases meet only in 0, and together fill the ambient?"""
     vectors = [v for part in parts for v in part.vectors]
@@ -235,8 +225,7 @@ def direct_sum_check(parts: Sequence[SubspaceBasis], ambient_dim: int | None = N
     total = len(vectors)
     keys = ambient_keys if ambient_keys is not None else keys_union(vectors)
     rk = rank(rows_matrix(vectors, keys))
-    fills = None if ambient_dim is None else rk == ambient_dim
-    return DirectSumReport(dims, total, rk, rk == total, fills)
+    return DirectSumReport(dims, total, rk, rk == total, rk == ambient_dim)
 
 
 def coords_in_basis(p: CliffordPoly, vectors: Iterable[CliffordPoly]) -> list[Fraction]:

@@ -73,7 +73,7 @@ def blade_product(a: int, b: int) -> tuple[int, int]:
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
 

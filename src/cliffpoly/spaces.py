@@ -1,26 +1,23 @@
 """Polynomial solution spaces of the Dirac-type systems, as exact bases.
 
-Every space here is realized as the kernel of one or two operator
-matrices over the canonical monomial basis, so each basis is canonical
-and reproducible.  Results are memoized; all constructions are pure.
+Each kind of space is the joint kernel of the operators that KERNELS
+names for it, over the canonical monomial basis of its grades and
+degree, so each basis is canonical and reproducible; `kernel_dim` reads
+the dimension alone by rank-nullity.  Results are memoized; all
+constructions are pure.
 
-Kinds:
-
-    hodge       dplus P = 0 and dminus P = 0 on grade-s degree-k polynomials
-    harmonic    laplacian P = 0
-    infra       laplacian-tilde P = 0
-    mono-left   dirac P = 0 on values restricted to a grade set
-    mono-right  P dirac = 0, equivalently dirac-tilde P = 0 gradewise
-    two-sided   dirac P = 0 and P dirac = 0; cross-checked against hodge
-    mono-S      alias of mono-left with an explicit grade set
-
-The solutions of the two-sided system coincide with the joint kernel of
-the two Dirac halves; the construction computes both and insists that
-the spans agree.
+Grades: hodge, harmonic and infra take one grade s; mono-left and
+mono-right an optional grade set S (all grades by default); mono-S a
+required S; two-sided s or S.  The right monogenic equation P dirac = 0
+holds exactly when dirac-tilde P = 0, since the two agree gradewise up
+to sign.  The two-sided solutions coincide with the joint kernel of the
+two Dirac halves; the construction computes both and insists that the
+spans agree.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Union
 
 from .linalg import (
@@ -29,10 +26,11 @@ from .linalg import (
     nullspace,
     operator_matrix,
     poly_from_vector,
+    rank,
     span_equal,
 )
 from .operators import OmegaWord, derived_operator, word_apply
-from .polynomial import CliffordPoly, monomial_keys
+from .polynomial import CliffordPoly, monomial_keys, space_dim
 
 
 class TheoremViolation(Exception):
@@ -45,9 +43,18 @@ class TheoremViolation(Exception):
         self.report = report
 
 
-KINDS = ("hodge", "harmonic", "infra", "mono-left", "mono-right", "two-sided", "mono-S")
+# each kind of space as the joint kernel of the named operators
+KERNELS: dict[str, tuple[str, ...]] = {
+    "hodge": ("dplus", "dminus"),
+    "harmonic": ("laplacian",),
+    "infra": ("laplacian-tilde",),
+    "mono-left": ("dirac",),
+    "mono-right": ("dirac-tilde",),
+    "two-sided": ("dirac", "dirac-tilde"),
+    "mono-S": ("dirac",),
+}
 
-_CACHE: dict[tuple, SubspaceBasis] = {}
+KINDS = tuple(KERNELS)
 
 
 def omega_words(max_len: int) -> list[OmegaWord]:
@@ -62,12 +69,24 @@ def omega_words(max_len: int) -> list[OmegaWord]:
     return out
 
 
+def _stacked(op_names: Iterable[str], m: int, grades: Union[int, Iterable[int]], k: int) -> RationalMatrix:
+    """The named operators' matrices stacked over the monomial basis of (grades, k)."""
+    rows = [row for name in op_names for row in operator_matrix(derived_operator(name), m, grades, k).entries]
+    return RationalMatrix(rows, space_dim(m, grades, k))
+
+
+def kernel_dim(op_names: Iterable[str], m: int, grades: Union[int, Iterable[int]], k: int) -> int:
+    """Dimension of the joint kernel of the named operators on the degree-k
+    polynomials with values of the given grade(s): columns minus rank.
+    With no operators, the dimension of the whole space."""
+    stacked = _stacked(op_names, m, grades, k)
+    return stacked.cols - rank(stacked)
+
+
 def _kernel_basis(op_names: Iterable[str], m: int, grades: Union[int, Iterable[int]], k: int,
                   label: str) -> SubspaceBasis:
-    gset = {grades} if isinstance(grades, int) else set(grades)
-    keys = monomial_keys(m, gset, k)
-    stacked = RationalMatrix.vstack([operator_matrix(derived_operator(name), m, gset, k) for name in op_names])
-    vectors = [poly_from_vector(m, keys, v) for v in nullspace(stacked)]
+    keys = monomial_keys(m, grades, k)
+    vectors = [poly_from_vector(m, keys, v) for v in nullspace(_stacked(op_names, m, grades, k))]
     return SubspaceBasis(m, label, vectors)
 
 
@@ -111,30 +130,19 @@ def space_basis(kind: str, m: int, k: int, s: int | None = None,
     """Canonical basis of the requested solution space; memoized."""
     if k < 0:
         raise ValueError("degree k must be nonnegative")
-    grades = _normalize_grades(kind, m, s, S)
-    cache_key = (kind, m, k, grades)
-    hit = _CACHE.get(cache_key)
-    if hit is not None:
-        return hit
+    return _space_basis(kind, m, k, _normalize_grades(kind, m, s, S))
+
+
+@cache
+def _space_basis(kind: str, m: int, k: int, grades: int | frozenset[int]) -> SubspaceBasis:
     gdesc = f"s={grades}" if isinstance(grades, int) else f"S={sorted(grades)}"
     label = f"{kind}(m={m},{gdesc},k={k})"
-    if kind == "hodge":
-        basis = _kernel_basis(("dplus", "dminus"), m, grades, k, label)
-    elif kind == "harmonic":
-        basis = _kernel_basis(("laplacian",), m, grades, k, label)
-    elif kind == "infra":
-        basis = _kernel_basis(("laplacian-tilde",), m, grades, k, label)
-    elif kind in ("mono-left", "mono-S"):
-        basis = _kernel_basis(("dirac",), m, grades, k, label)
-    elif kind == "mono-right":
-        basis = _kernel_basis(("dirac-tilde",), m, grades, k, label)
-    else:  # two-sided
-        basis = _kernel_basis(("dirac", "dirac-tilde"), m, grades, k, label)
-        via_halves = _kernel_basis(("dplus", "dminus"), m, grades, k, label + "|halves")
+    basis = _kernel_basis(KERNELS[kind], m, grades, k, label)
+    if kind == "two-sided":
+        via_halves = _kernel_basis(KERNELS["hodge"], m, grades, k, label + "|halves")
         if not span_equal(basis, via_halves):
             raise TheoremViolation(
                 f"two-sided solutions at (m={m},{gdesc},k={k}) disagree with the joint kernel of the halves")
-    _CACHE[cache_key] = basis
     return basis
 
 
@@ -162,29 +170,24 @@ def component_space(word: OmegaWord | str, m: int, s: int, k: int) -> SubspaceBa
     the space, which is certified here; a dependent image would falsify
     the decomposition and raises.  Memoized.
     """
-    if isinstance(word, str):
-        word = OmegaWord(word)
-    cache_key = ("component", word.letters, m, s, k)
-    hit = _CACHE.get(cache_key)
-    if hit is not None:
-        return hit
+    return _component_space(OmegaWord(word) if isinstance(word, str) else word, m, s, k)
+
+
+@cache
+def _component_space(word: OmegaWord, m: int, s: int, k: int) -> SubspaceBasis:
     label = f"{word}*hodge(m={m},s={s},k={k})"
     source = hodge_space(m, s, k)
     if not 0 <= s <= m or k < 0 or source.dim == 0:
-        basis = SubspaceBasis(m, label, ())
-    elif word_vanishes(word, s, m):
-        images = [word_apply(word, v) for v in source]
+        return SubspaceBasis(m, label, ())
+    images = [word_apply(word, v) for v in source]
+    if word_vanishes(word, s, m):
         bad = next((v for v, im in zip(source, images) if not im.is_zero), None)
         if bad is not None:
             raise TheoremViolation(
                 f"word {word} should annihilate hodge(m={m},s={s},k={k}) but does not", witness=bad)
-        basis = SubspaceBasis(m, label, ())
-    else:
-        images = [word_apply(word, v) for v in source]
-        try:
-            basis = SubspaceBasis(m, label, images)
-        except ValueError:
-            raise TheoremViolation(
-                f"word {word} is not injective on hodge(m={m},s={s},k={k})") from None
-    _CACHE[cache_key] = basis
-    return basis
+        return SubspaceBasis(m, label, ())
+    try:
+        return SubspaceBasis(m, label, images)
+    except ValueError:
+        raise TheoremViolation(
+            f"word {word} is not injective on hodge(m={m},s={s},k={k})") from None

@@ -408,8 +408,9 @@ def test_verify_report_rejects_unknown_theorem():
 def test_verify_report_failure_keeps_its_unit(monkeypatch):
     import cliffpoly.decompose as dec
 
-    real = dec.laplacian
-    monkeypatch.setattr(dec, "laplacian", lambda p: p if p.bigrade() == (2, 1) else real(p))
+    real = dec.apply_named
+    monkeypatch.setattr(dec, "apply_named",
+                        lambda name, p: p if name == "laplacian" and p.bigrade() == (2, 1) else real(name, p))
     summary = verify_report(3, 2, theorems=["homma"])
     assert not summary.ok
     (report,) = [r for r in summary.reports if not r.ok]
@@ -418,5 +419,17 @@ def test_verify_report_failure_keeps_its_unit(monkeypatch):
 
 
 def test_verify_report_rejects_negative_kmax():
-    with pytest.raises(ValueError):
-        verify_report(2, -1)
+    # every bad argument is refused up front, never run into a traceback
+    # or a vacuous green summary
+    for args, kwargs in [
+        ((2, -1), {}),
+        ((0, 1), {}),
+        ((9, 1), {}),
+        ((True, 1), {}),
+        ((2, True), {}),
+        ((2, 1.0), {}),
+        ((2, 1), {"budget_seconds": float("nan")}),
+        ((2, 1), {"theorems": []}),
+    ]:
+        with pytest.raises(ValueError):
+            verify_report(*args, **kwargs)

@@ -142,12 +142,12 @@ def test_matrix_validation():
         RationalMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2]], cols=3)
-    with pytest.raises(ValueError):
-        RationalMatrix.vstack([RationalMatrix([[1, 2]]), RationalMatrix([[1, 2, 3]])])
     with pytest.raises(TypeError):
         RationalMatrix([[0.5]])
     with pytest.raises(TypeError):
         RationalMatrix([["1/2"]])
+    with pytest.raises(TypeError):
+        RationalMatrix([[True]])
 
 
 # ---------------------------------------------------------------------------

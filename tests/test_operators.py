@@ -216,6 +216,18 @@ def test_sandwich_matches_literal():
             assert sandwich_x(p) == sandwich_x_literal(p)
 
 
+def test_right_dirac_is_signed_twisted_dirac_per_grade():
+    # the grade-t part of P dirac is (-1)^(t-1) times that of dirac-tilde P,
+    # so both cut out the same kernel (the right monogenic certificate relies on it)
+    for m in (2, 3, 4):
+        rng = Random(SEED + 10 * m)
+        for k in (1, 2, 3):
+            p = random_poly(m, k, range(m + 1), rng)
+            right = {s: part for _, s, part in dirac_right(p).bigrade_split()}
+            tilde = {s: part.scale(1 if s % 2 else -1) for _, s, part in dirac_tilde(p).bigrade_split()}
+            assert right == tilde
+
+
 def test_right_and_left_dirac_commute():
     for m in (2, 3):
         for p in sample_polys(m):

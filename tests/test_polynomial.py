@@ -145,6 +145,13 @@ def test_json_rejects_floats_and_bad_shapes():
         CliffordPoly.from_json_dict([1, 2])
 
 
+def test_coefficients_must_be_int_or_fraction():
+    with pytest.raises(TypeError):
+        CliffordPoly(2, {((1, 0), 0): True})
+    with pytest.raises(TypeError):
+        CliffordPoly(2, {((1, 0), 0): 0.5})
+
+
 def test_json_duplicate_keys_accumulate():
     d = {"m": 2, "terms": [
         {"alpha": [1, 0], "blade": [1], "coeff": "1/2"},

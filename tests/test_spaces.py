@@ -7,10 +7,14 @@ import pytest
 
 from cliffpoly.linalg import span_equal
 from cliffpoly.operators import OmegaWord, dirac, dirac_minus, dirac_plus, dirac_right, laplacian, laplacian_tilde
+from cliffpoly.polynomial import space_dim
 from cliffpoly.spaces import (
+    KERNELS,
+    KINDS,
     TheoremViolation,
     component_space,
     hodge_space,
+    kernel_dim,
     omega_words,
     space_basis,
     word_vanishes,
@@ -163,6 +167,34 @@ def test_space_basis_argument_validation():
         space_basis("hodge", 3, -1, s=1)
     with pytest.raises(ValueError):
         space_basis("hodge", 3, 1, s=7)
+
+
+def test_kinds_follow_the_kernel_table():
+    assert KINDS == tuple(KERNELS) == (
+        "hodge", "harmonic", "infra", "mono-left", "mono-right", "two-sided", "mono-S")
+
+
+def test_kernel_dim_matches_basis_for_every_kind():
+    # columns minus rank of the stacked KERNELS matrices is each basis's length
+    for m in (1, 2, 3):
+        grade_sets = [frozenset(s for s in range(m + 1) if bits >> s & 1) for bits in range(1, 1 << (m + 1))]
+        cases = [(kind, s, None, s) for kind in ("hodge", "harmonic", "infra", "two-sided")
+                 for s in range(m + 1)]
+        cases += [(kind, None, S, S) for kind in ("mono-left", "mono-right", "two-sided", "mono-S")
+                  for S in grade_sets]
+        cases += [(kind, None, None, range(m + 1)) for kind in ("mono-left", "mono-right")]
+        assert {case[0] for case in cases} == set(KINDS)
+        for k in range(3):
+            for kind, s, S, grades in cases:
+                assert kernel_dim(KERNELS[kind], m, grades, k) == space_basis(kind, m, k, s=s, S=S).dim
+
+
+def test_kernel_dim_without_operators_is_the_whole_space():
+    for m in (1, 2, 3):
+        for k in range(3):
+            for s in range(m + 1):
+                assert kernel_dim((), m, s, k) == space_dim(m, s, k)
+            assert kernel_dim((), m, range(m + 1), k) == space_dim(m, range(m + 1), k)
 
 
 def test_hodge_space_tolerant_wrapper():
