@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from pathlib import Path
 
 from .decompose import (
     DEFAULT_SEED,
@@ -42,13 +42,17 @@ class CliError(Exception):
 def _read_poly(path: str) -> CliffordPoly:
     name = "standard input" if path == "-" else path
     try:
-        text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise CliError(2, f"cannot read {name}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise CliError(2, f"{name} is not valid UTF-8: {e}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise CliError(2, f"malformed JSON in {name}: line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise CliError(2, f"JSON in {name} is nested too deeply") from None
     try:
         return CliffordPoly.from_json_dict(data)
     except (ValueError, TypeError, KeyError) as e:
@@ -60,8 +64,10 @@ def _emit(obj: dict, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as e:
+            raise CliError(2, f"cannot write {output}: {e}") from None
 
 
 def _parse_grades(text: str) -> list[int]:
@@ -152,8 +158,8 @@ def cmd_verify(args) -> int:
             budget = float(os.environ[BUDGET_ENV])
         except ValueError:
             raise CliError(2, f"cannot parse {BUDGET_ENV}={os.environ[BUDGET_ENV]!r}") from None
-    if budget is not None and math.isnan(budget):
-        raise CliError(2, f"{source} must be a number of seconds, got nan")
+    if budget is not None and not budget >= 0:  # negative or NaN
+        raise CliError(2, f"{source} must be a nonnegative number of seconds, got {budget}")
     summary = verify_report(args.m, args.kmax, theorems=theorems,
                             budget_seconds=budget, seed=args.seed)
     _emit(summary.to_json_dict(), args.output)

@@ -13,7 +13,6 @@ input with residual exactly zero.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from random import Random
@@ -113,10 +112,7 @@ class DecompositionResult:
         raise AttributeError("DecompositionResult is immutable")
 
     def total(self) -> CliffordPoly:
-        out = self.residual
-        for part in self.components.values():
-            out = out + part
-        return out
+        return CliffordPoly._sum(self.input.m, (self.residual, *self.components.values()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -149,11 +145,7 @@ def project_onto(part: CliffordPoly, labeled: Labeled, context: str) -> dict[str
                                witness=part) from None
     out: dict[str, CliffordPoly] = {}
     for label, basis in labeled:
-        piece = CliffordPoly.zero(part.m)
-        for v in basis:
-            c = next(coords)
-            if c:
-                piece = piece + v.scale(c)
+        piece = CliffordPoly._sum(part.m, [v.scale(c) for v, c in zip(basis, coords) if c])
         if not piece.is_zero:
             out[label] = piece
     return out
@@ -510,8 +502,8 @@ def verify_report(m: int, k_max: int, theorems: Iterable[str] | str = "all",
     _check_m(m)
     if type(k_max) is not int or k_max < 0:
         raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")
-    if budget_seconds is not None and math.isnan(budget_seconds):
-        raise ValueError("budget_seconds must be a number of seconds, got nan")
+    if budget_seconds is not None and not budget_seconds >= 0:  # negative or NaN
+        raise ValueError(f"budget_seconds must be a nonnegative number of seconds, got {budget_seconds!r}")
     if theorems == "all":
         selected = list(THEOREM_ORDER)
     else:

@@ -161,7 +161,8 @@ def rows_matrix(polys: Sequence[CliffordPoly], keys: Sequence[TermKey]) -> Ratio
 
 
 def poly_from_vector(m: int, keys: Sequence[TermKey], v: Sequence[Fraction]) -> CliffordPoly:
-    return CliffordPoly(m, {key: c for key, c in zip(keys, v) if c})
+    """The polynomial with Fraction coordinates v over keys valid for m."""
+    return CliffordPoly._of(m, dict(zip(keys, v)))
 
 
 class SubspaceBasis:

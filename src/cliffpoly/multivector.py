@@ -176,7 +176,7 @@ class Multivector:
         self._require_same_m(other)
         acc = dict(self.terms)
         for mask, c in other.terms.items():
-            acc[mask] = acc.get(mask, Fraction(0)) + c
+            acc[mask] = acc[mask] + c if mask in acc else c
         return Multivector(self.m, acc)
 
     def __neg__(self) -> "Multivector":
@@ -194,9 +194,10 @@ class Multivector:
             for a, ca in self.terms.items():
                 for b, cb in other.terms.items():
                     sign, mask = blade_product(a, b)
-                    acc[mask] = acc.get(mask, Fraction(0)) + sign * ca * cb
+                    c = sign * ca * cb
+                    acc[mask] = acc[mask] + c if mask in acc else c
             return Multivector(self.m, acc)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return Multivector(self.m, {mask: c * other for mask, c in self.terms.items()})
         return NotImplemented
 
@@ -208,7 +209,7 @@ class Multivector:
     def __eq__(self, other) -> bool:
         if isinstance(other, Multivector):
             return self.m == other.m and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self == Multivector.scalar(self.m, other)
         return NotImplemented
 
@@ -248,5 +249,5 @@ class Multivector:
                 raise ValueError(f"term {pos}: expected object with 'blade' and 'coeff'")
             mask = blade_from_indices(term["blade"], m)
             c = parse_rational(term["coeff"])
-            acc[mask] = acc.get(mask, Fraction(0)) + c
+            acc[mask] = acc[mask] + c if mask in acc else c
         return cls(m, acc)

@@ -38,7 +38,7 @@ from random import Random
 from typing import Callable, Iterable, Union
 
 from .multivector import Multivector, Scalar, _as_fraction, blade_grade, blade_product
-from .polynomial import CliffordPoly, TermKey
+from .polynomial import CliffordPoly, MultiIndex, TermKey
 
 WEDGE = "w"
 DOT = "d"
@@ -65,8 +65,9 @@ def _half(p: CliffordPoly, differentiate: bool, lower: bool) -> CliffordPoly:
             if weight and mask >> j0 & 1 == lower:
                 sign, nmask = blade_product(1 << j0, mask)
                 key = (alpha[:j0] + (alpha[j0] + shift,) + alpha[j0 + 1:], nmask)
-                acc[key] = acc.get(key, Fraction(0)) + c * (sign * weight)
-    return CliffordPoly(p.m, acc)
+                term = c * (sign * weight)
+                acc[key] = acc[key] + term if key in acc else term
+    return CliffordPoly._of(p.m, acc)
 
 
 def dirac_plus(p: CliffordPoly) -> CliffordPoly:
@@ -96,17 +97,17 @@ def x_full(p: CliffordPoly) -> CliffordPoly:
 
 def euler(p: CliffordPoly) -> CliffordPoly:
     """Degree operator: each term scaled by its total degree."""
-    return CliffordPoly(p.m, {key: c * sum(key[0]) for key, c in p.terms.items()})
+    return CliffordPoly._of(p.m, {key: c * sum(key[0]) for key, c in p.terms.items()})
 
 
 def ferm_plus(p: CliffordPoly) -> CliffordPoly:
     """Value-grade operator: each term scaled by its blade grade."""
-    return CliffordPoly(p.m, {key: c * blade_grade(key[1]) for key, c in p.terms.items()})
+    return CliffordPoly._of(p.m, {key: c * blade_grade(key[1]) for key, c in p.terms.items()})
 
 
 def ferm_minus(p: CliffordPoly) -> CliffordPoly:
     """Complementary grade operator: each term scaled by m - grade."""
-    return CliffordPoly(p.m, {key: c * (p.m - blade_grade(key[1])) for key, c in p.terms.items()})
+    return CliffordPoly._of(p.m, {key: c * (p.m - blade_grade(key[1])) for key, c in p.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +183,7 @@ def apply_operator(spec: OperatorSpec, p: CliffordPoly) -> CliffordPoly:
             p = apply_operator(factor, p)
         return p
     if isinstance(spec, Sum):
-        out = CliffordPoly.zero(p.m)
-        for term in spec.terms:
-            out = out + apply_operator(term, p)
-        return out
+        return CliffordPoly._sum(p.m, [apply_operator(term, p) for term in spec.terms])
     if isinstance(spec, Scale):
         return apply_operator(spec.child, p).scale(spec.coeff)
     raise TypeError(f"not an operator spec: {spec!r}")
@@ -264,7 +262,7 @@ def _signed_by_grade(p: CliffordPoly, op: Callable[[CliffordPoly], CliffordPoly]
     """Apply op to each grade-s slice of values with an extra (-1)^s."""
     out = CliffordPoly.zero(p.m)
     for s in p.grades():
-        part = CliffordPoly(p.m, {key: c for key, c in p.terms.items() if blade_grade(key[1]) == s})
+        part = CliffordPoly._of(p.m, {key: c for key, c in p.terms.items() if blade_grade(key[1]) == s})
         piece = op(part)
         out = out + (piece if s % 2 == 0 else -piece)
     return out
@@ -451,18 +449,21 @@ def h_action(r: PinElement, p: CliffordPoly) -> CliffordPoly:
                          for i in range(m) if rows[j][i]})
         for j in range(m)
     ]
-    blade_images: dict[int, CliffordPoly] = {}
-    out = CliffordPoly.zero(m)
+    values: dict[MultiIndex, dict[int, Fraction]] = {}
     for (alpha, mask), c in p.terms.items():
-        piece = CliffordPoly.one(m).scale(c)
+        values.setdefault(alpha, {})[mask] = c
+    acc: dict[TermKey, Fraction] = {}
+    for alpha, blades in values.items():
+        value = r.conjugate_value(Multivector(m, blades))
+        monomial = CliffordPoly.one(m)
         for j0, power in enumerate(alpha):
             for _ in range(power):
-                piece = piece * linear_forms[j0]
-        if mask not in blade_images:
-            blade_images[mask] = CliffordPoly.from_multivector(
-                r.conjugate_value(Multivector(m, {mask: 1})))
-        out = out + piece * blade_images[mask]
-    return out
+                monomial = monomial * linear_forms[j0]
+        for (beta, _), f in monomial.terms.items():
+            for mask, v in value.terms.items():
+                key, c = (beta, mask), f * v
+                acc[key] = acc[key] + c if key in acc else c
+    return CliffordPoly._of(m, acc)
 
 
 # ---------------------------------------------------------------------------

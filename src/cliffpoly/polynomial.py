@@ -108,6 +108,26 @@ class CliffordPoly:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _of(cls, m: int, terms: Mapping[TermKey, Fraction]) -> "CliffordPoly":
+        """Wrap terms whose keys are already valid for m and whose coefficients
+        are already Fractions, dropping zeros; arithmetic results only."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "m", m)
+        object.__setattr__(p, "terms", {key: c for key, c in terms.items() if c})
+        return p
+
+    @classmethod
+    def _sum(cls, m: int, parts: Iterable["CliffordPoly"]) -> "CliffordPoly":
+        """The sum of polynomials in the algebra of m, accumulated in one dict."""
+        acc: dict[TermKey, Fraction] = {}
+        for part in parts:
+            if part.m != m:
+                raise ValueError(f"mixed algebras: m={m} vs m={part.m}")
+            for key, c in part.terms.items():
+                acc[key] = acc[key] + c if key in acc else c
+        return cls._of(m, acc)
+
     def __setattr__(self, name, value):
         raise AttributeError("CliffordPoly is immutable")
 
@@ -175,7 +195,7 @@ class CliffordPoly:
         for key, c in self.terms.items():
             alpha, mask = key
             buckets.setdefault((sum(alpha), blade_grade(mask)), {})[key] = c
-        return [(k, s, CliffordPoly(self.m, part)) for (k, s), part in sorted(buckets.items())]
+        return [(k, s, CliffordPoly._of(self.m, part)) for (k, s), part in sorted(buckets.items())]
 
     def bigrade(self) -> tuple[int, int] | None:
         """The unique (k, s) if bihomogeneous, else None; None when zero."""
@@ -193,14 +213,10 @@ class CliffordPoly:
     def __add__(self, other: "CliffordPoly") -> "CliffordPoly":
         if not isinstance(other, CliffordPoly):
             return NotImplemented
-        self._require_same_m(other)
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            acc[key] = acc.get(key, Fraction(0)) + c
-        return CliffordPoly(self.m, acc)
+        return CliffordPoly._sum(self.m, (self, other))
 
     def __neg__(self) -> "CliffordPoly":
-        return CliffordPoly(self.m, {key: -c for key, c in self.terms.items()})
+        return CliffordPoly._of(self.m, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other: "CliffordPoly") -> "CliffordPoly":
         if not isinstance(other, CliffordPoly):
@@ -209,7 +225,7 @@ class CliffordPoly:
 
     def scale(self, factor: Scalar) -> "CliffordPoly":
         factor = _as_fraction(factor)
-        return CliffordPoly(self.m, {key: c * factor for key, c in self.terms.items()})
+        return CliffordPoly._of(self.m, {key: c * factor for key, c in self.terms.items()})
 
     def __mul__(self, other) -> "CliffordPoly":
         if isinstance(other, (int, Fraction)):
@@ -223,8 +239,9 @@ class CliffordPoly:
                 sign, mask = blade_product(b1, b2)
                 alpha = tuple(x + y for x, y in zip(a1, a2))
                 key = (alpha, mask)
-                acc[key] = acc.get(key, Fraction(0)) + sign * c1 * c2
-        return CliffordPoly(self.m, acc)
+                c = sign * c1 * c2
+                acc[key] = acc[key] + c if key in acc else c
+        return CliffordPoly._of(self.m, acc)
 
     def __rmul__(self, other) -> "CliffordPoly":
         if isinstance(other, (int, Fraction)):
@@ -248,16 +265,15 @@ class CliffordPoly:
         for (alpha, mask), c in self.terms.items():
             if alpha[i]:
                 down = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-                key = (down, mask)
-                acc[key] = acc.get(key, Fraction(0)) + c * alpha[i]
-        return CliffordPoly(self.m, acc)
+                acc[(down, mask)] = c * alpha[i]  # one-to-one on keys: nothing to add
+        return CliffordPoly._of(self.m, acc)
 
     def times_variable(self, j: int) -> "CliffordPoly":
         """Multiply by the scalar coordinate x_j."""
         if not 1 <= j <= self.m:
             raise ValueError(f"variable index {j} outside 1..{self.m}")
         i = j - 1
-        return CliffordPoly(
+        return CliffordPoly._of(
             self.m,
             {(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], mask): c for (alpha, mask), c in self.terms.items()},
         )
@@ -273,7 +289,7 @@ class CliffordPoly:
             for x, a in zip(coords, alpha):
                 if a:
                     val *= x ** a
-            acc[mask] = acc.get(mask, Fraction(0)) + val
+            acc[mask] = acc[mask] + val if mask in acc else val
         return Multivector(self.m, acc)
 
     # -- protocol ----------------------------------------------------
@@ -330,12 +346,10 @@ class CliffordPoly:
         for pos, term in enumerate(data["terms"]):
             if not isinstance(term, dict) or not {"alpha", "blade", "coeff"} <= set(term):
                 raise ValueError(f"term {pos}: expected object with 'alpha', 'blade', 'coeff'")
-            alpha = _check_alpha(term["alpha"], m)
-            mask = blade_from_indices(term["blade"], m)
+            key = (_check_alpha(term["alpha"], m), blade_from_indices(term["blade"], m))
             c = parse_rational(term["coeff"])
-            key = (alpha, mask)
-            acc[key] = acc.get(key, Fraction(0)) + c
-        return cls(m, acc)
+            acc[key] = acc[key] + c if key in acc else c
+        return cls._of(m, acc)
 
 
 def norm_squared_poly(m: int) -> CliffordPoly:

@@ -4,8 +4,10 @@ import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffpoly.cli import main
 from cliffpoly.polynomial import CliffordPoly
@@ -139,6 +141,121 @@ def test_booleans_and_non_ascii_digits_rejected(capsys, tmp_path, doc, needle):
 def test_missing_input_file(capsys):
     code, _, err = run_cli(capsys, "apply", "--op", "dirac", "--input", "/no/such/file.json")
     assert code == 2 and "cannot read" in err
+
+
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_input_not_utf8(capsys, monkeypatch, tmp_path, from_stdin):
+    raw = b'{"m": 1, "terms": [\xff]}'
+    if from_stdin:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        source = "-"
+    else:
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(raw)
+        source = str(bad)
+    code, out, err = run_cli(capsys, "apply", "--op", "dirac", "--input", source)
+    assert code == 2 and out == ""
+    assert err.startswith("cliffpoly: ") and "UTF-8" in err
+
+
+def test_input_nested_too_deeply(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100_000))
+    code, out, err = run_cli(capsys, "apply", "--op", "dirac", "--input", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("cliffpoly: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("apply", "--op", "dplus", "--input", "{input}"),
+    ("decompose", "--theorem", "h", "--input", "{input}"),
+    ("basis", "--kind", "hodge", "--m", "2", "--s", "1", "--k", "1"),
+    ("verify", "--m", "1", "--kmax", "1"),
+])
+def test_unwritable_output(capsys, x1sq_file, tmp_path, argv):
+    target = tmp_path / "no" / "such" / "dir" / "o.json"
+    argv = [a.replace("{input}", x1sq_file) for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("cliffpoly: cannot write")
+
+
+# The CLI's only check on a polynomial is CliffordPoly.from_json_dict:
+# whatever arrives, apply exits 0 with output that reads back and
+# re-emits byte for byte, or exits 2 with a message; it never raises.
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+small_ints = st.integers(-2, 9)
+index_lists = st.lists(small_ints | st.booleans(), max_size=4)
+rationals = st.from_regex(r"-?[0-9]{1,4}(/[0-9]{1,3})?", fullmatch=True)
+coefficients = st.one_of(
+    rationals,
+    st.sampled_from(["0", "-0", "1/0", "0.5", "1e3", " 1", "+1", "--1", "\u0663", "1/-2", ""]),
+    json_values,
+)
+terms = st.fixed_dictionaries(
+    {"alpha": index_lists | json_values, "blade": index_lists | json_values, "coeff": coefficients})
+polynomials = st.fixed_dictionaries(
+    {}, optional={"m": small_ints | json_values, "terms": st.lists(terms, max_size=5) | json_values})
+
+
+@st.composite
+def near_valid_polynomials(draw):
+    m = draw(st.integers(1, 3))
+    term = st.fixed_dictionaries({
+        "alpha": st.lists(st.integers(0, 3), min_size=m, max_size=m),
+        "blade": st.sets(st.integers(1, m)).map(sorted),
+        "coeff": rationals | coefficients,
+    })
+    return {"m": m, "terms": draw(st.lists(term, max_size=5))}
+
+
+raw_inputs = st.one_of(
+    near_valid_polynomials().map(json.dumps).map(str.encode),
+    polynomials.map(json.dumps).map(str.encode),
+    json_values.map(json.dumps).map(str.encode),
+    st.text(max_size=20).map(str.encode),
+    st.binary(max_size=20),
+)
+
+
+def apply_euler_on(raw: bytes) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["apply", "--op", "euler", "--input", "-"])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_inputs)
+def test_apply_boundary_fuzz(raw):
+    code, out, err = apply_euler_on(raw)
+    if code == 0:
+        assert err == ""
+        back = CliffordPoly.from_json_dict(json.loads(out))
+        assert json.dumps(back.to_json_dict(), indent=2) + "\n" == out
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("cliffpoly: ")
+
+
+def test_apply_boundary_fuzz_accepts_valid_input():
+    # the fuzz's success branch is reachable, and duplicate keys merge
+    raw = json.dumps({"m": 2, "terms": [
+        {"alpha": [1, 0], "blade": [2], "coeff": "1/2"},
+        {"alpha": [1, 0], "blade": [2], "coeff": "-3"},
+        {"alpha": [0, 2], "blade": [], "coeff": "0"},
+    ]}).encode()
+    code, out, _ = apply_euler_on(raw)
+    assert code == 0
+    assert json.loads(out)["terms"] == [{"alpha": [1, 0], "blade": [2], "coeff": "-5/2"}]
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +400,9 @@ def test_usage_error_exit_code():
     (("--m", "2", "--kmax", "-1"), None),
     (("--m", "2", "--kmax", "1", "--budget-seconds", "nan"), None),
     (("--m", "2", "--kmax", "1"), "nan"),
+    (("--m", "2", "--kmax", "1", "--budget-seconds", "-1"), None),
+    (("--m", "2", "--kmax", "1", "--budget-seconds", "-0.5"), None),
+    (("--m", "2", "--kmax", "1"), "-1"),
 ])
 def test_verify_rejects_bad_bounds(capsys, monkeypatch, argv, budget_env):
     if budget_env is None:

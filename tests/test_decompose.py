@@ -429,6 +429,8 @@ def test_verify_report_rejects_negative_kmax():
         ((2, True), {}),
         ((2, 1.0), {}),
         ((2, 1), {"budget_seconds": float("nan")}),
+        ((2, 1), {"budget_seconds": -1}),
+        ((2, 1), {"budget_seconds": -0.5}),
         ((2, 1), {"theorems": []}),
     ]:
         with pytest.raises(ValueError):

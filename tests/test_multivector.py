@@ -128,6 +128,19 @@ def test_multivector_algebra_m3():
     assert v * v == Multivector.scalar(3, -1)
 
 
+def test_bool_is_not_a_scalar():
+    # the coefficient rule of _as_fraction: a bool is not a scalar
+    one = Multivector.scalar(2, 1)
+    assert (one == True) is False  # noqa: E712
+    assert one != True  # noqa: E712
+    with pytest.raises(TypeError):
+        one * True
+    with pytest.raises(TypeError):
+        False * one
+    with pytest.raises(TypeError):
+        Multivector.scalar(2, True)
+
+
 def test_multivector_grade_projection():
     e1 = Multivector.basis_vector(2, 1)
     e2 = Multivector.basis_vector(2, 2)
