@@ -59,8 +59,27 @@ def _read_poly(path: str) -> CliffordPoly:
         raise CliError(2, f"invalid polynomial in {name}: {e}") from None
 
 
-def _emit(obj: dict, output: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+def _json_text(value, pad: int = 0) -> str:
+    """The text of json.dumps(value, indent=2), nested at pad spaces.  value is a
+    JSON tree with string keys whose CliffordPoly leaves write themselves."""
+    if isinstance(value, CliffordPoly):
+        return value.json_text(pad)
+    inner, close = "\n" + " " * (pad + 2), "\n" + " " * pad
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(key)}: {_json_text(v, pad + 2)}" for key, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + close + "}"
+    if isinstance(value, list) and value:
+        return "[" + inner + ("," + inner).join(_json_text(v, pad + 2) for v in value) + close + "]"
+    return json.dumps(value)
+
+
+def _emit(obj, output: str | None) -> None:
+    try:
+        text = _json_text(obj) + "\n"
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        raise CliError(2, f"a result coefficient has more than {sys.get_int_max_str_digits()} digits, "
+                          "the interpreter's limit for integer-string conversion, which inputs "
+                          "also meet") from None
     if output is None:
         sys.stdout.write(text)
     else:
@@ -90,7 +109,7 @@ def cmd_basis(args) -> int:
         "s": args.s,
         "S": sorted(S) if S is not None else None,
         "dim": basis.dim,
-        "polynomials": [v.to_json_dict() for v in basis],
+        "polynomials": list(basis),
     }, args.output)
     return 0
 
@@ -107,7 +126,7 @@ def cmd_apply(args) -> int:
         except ValueError as e:
             raise CliError(2, str(e)) from None
         result = word_apply(word, p)
-    _emit(result.to_json_dict(), args.output)
+    _emit(result, args.output)
     return 0
 
 
@@ -133,7 +152,8 @@ def cmd_decompose(args) -> int:
     else:
         S = _parse_grades(args.S) if args.S is not None else None
         result = refine_decompose(p, args.theorem, S=S, side=side)
-    _emit(result.to_json_dict(), args.output)
+    _emit({"input": result.input, "components": result.components, "residual": result.residual},
+          args.output)
     return 0
 
 

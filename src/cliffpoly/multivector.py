@@ -83,17 +83,23 @@ def parse_rational(text: str) -> Fraction:
     Nothing else.
 
     Rejects decimal and exponent forms so no float notation can sneak
-    into exact data.
+    into exact data.  A numerator or denominator past the interpreter's
+    integer-string digit limit raises ValueError from int().
     """
     if not isinstance(text, str):
         raise ValueError(f"rational coefficient must be a string, got {type(text).__name__}")
-    body = text[1:] if text.startswith("-") else text
+    negative = text.startswith("-")
+    body = text[1:] if negative else text
     num, slash, den = body.partition("/")
     if not body.isascii() or not num.isdigit() or (slash and not den.isdigit()):
         raise ValueError(f"malformed rational {text!r}; expected p or p/q in integers")
-    if slash and int(den) == 0:
+    n = -int(num) if negative else int(num)
+    if not slash:
+        return Fraction(n)
+    d = int(den)
+    if d == 0:
         raise ValueError(f"zero denominator in rational {text!r}")
-    return Fraction(text)
+    return Fraction(n, d)
 
 
 def format_rational(value: Fraction) -> str:

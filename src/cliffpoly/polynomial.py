@@ -300,10 +300,22 @@ class CliffordPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.m, tuple(sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0])))))
+        return hash((self.m, tuple(self.sorted_terms())))
+
+    def _rows(self) -> list[tuple[MultiIndex, list[tuple[int, Fraction]]]]:
+        """The terms in canonical order, grouped by multi-index: (alpha, [(mask, coeff), ...]).
+        Only the distinct multi-indices go through term_sort_key."""
+        rows: dict[MultiIndex, dict[int, Fraction]] = {}
+        for (alpha, mask), c in self.terms.items():
+            row = rows.get(alpha)
+            if row is None:
+                rows[alpha] = row = {}
+            row[mask] = c
+        alphas = sorted(rows, key=lambda alpha: term_sort_key((alpha, 0)))
+        return [(alpha, sorted(rows[alpha].items())) for alpha in alphas]
 
     def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
+        return [((alpha, mask), c) for alpha, row in self._rows() for mask, c in row]
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -333,6 +345,28 @@ class CliffordPoly:
                 for (alpha, mask), c in self.sorted_terms()
             ],
         }
+
+    def json_text(self, pad: int = 0) -> str:
+        """The text of json.dumps(self.to_json_dict(), indent=2), nested at pad
+        spaces, written straight from the sorted terms.  Raises ValueError when a
+        coefficient has more digits than the interpreter converts to a string."""
+        i2, i4, i6, i8 = (" " * (pad + n) for n in (2, 4, 6, 8))
+        head = f'{{\n{i2}"m": {self.m},\n{i2}"terms": '
+        if not self.terms:
+            return f"{head}[]\n{' ' * pad}}}"
+        sep, close = f",\n{i8}", f"\n{i6}]"
+        blades: dict[int, str] = {}
+        parts = []
+        for alpha, row in self._rows():
+            alpha_text = f"[\n{i8}{sep.join(map(str, alpha))}{close}"
+            for mask, c in row:
+                blade = blades.get(mask)
+                if blade is None:
+                    indices = sep.join(map(str, blade_indices(mask)))
+                    blade = blades[mask] = f"[\n{i8}{indices}{close}" if mask else "[]"
+                parts.append(f'{i4}{{\n{i6}"alpha": {alpha_text},\n{i6}"blade": {blade},\n'
+                             f'{i6}"coeff": "{format_rational(c)}"\n{i4}}}')
+        return f"{head}[\n" + ",\n".join(parts) + f"\n{i2}]\n{' ' * pad}}}"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CliffordPoly":

@@ -8,6 +8,7 @@ Update a digest only for an intended change of output.
 
 import hashlib
 import json
+import sys
 from random import Random
 
 from cliffpoly.cli import OP_NAMES, main
@@ -49,6 +50,7 @@ def _inputs() -> dict[str, CliffordPoly]:
         "mt-left": _combination(rng, [space_basis("mono-left", M, k, S={1, 3}) for k in range(4)]),
         "mt-right": _combination(rng, [space_basis("mono-right", M, k, S={1, 3}) for k in range(4)]),
         "x1sq": CliffordPoly.monomial(M, (2, 0, 0), 0),
+        "zero": CliffordPoly.zero(M),
     }
 
 
@@ -71,6 +73,11 @@ CASES = (
     *((f"decompose-classical-{mode}", "mixed", ("decompose", "--theorem", "classical", "--mode", mode))
       for mode in ("harmonic", "monogenic", "infra")),
     ("decompose-homma-nonmember", "x1sq", ("decompose", "--theorem", "homma")),
+    ("apply-zero", "zero", ("apply", "--op", "dirac")),
+    ("basis-hodge-s1-k1", None, ("basis", "--kind", "hodge", "--m", "3", "--s", "1", "--k", "1")),
+    ("basis-harmonic-s1-k2", None, ("basis", "--kind", "harmonic", "--m", "3", "--s", "1", "--k", "2")),
+    ("basis-mono-left-S13-k2", None, ("basis", "--kind", "mono-left", "--m", "3", "--k", "2", "--S", "1,3")),
+    ("basis-two-sided-s2-k1", None, ("basis", "--kind", "two-sided", "--m", "3", "--s", "2", "--k", "1")),
     ("help-apply", None, ("apply", "--help")),
     ("help-decompose", None, ("decompose", "--help")),
 )
@@ -113,9 +120,18 @@ DIGESTS = {
     "decompose-classical-monogenic": "5fa6e9bc208c1c6b248b3a03ffeec6e3ffba6a7e59edcdf5264ac6834e118b1a",
     "decompose-classical-infra": "f18a2b1374c9032698e451d25345fdf7d0e2d79f17d9bcc81a502fb7ee3e6dc2",
     "decompose-homma-nonmember": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "apply-zero": "630efd7bde34361d695c62d6be70a913c9193d4f0654fcba2902c2f7460bdfd8",
+    "basis-hodge-s1-k1": "f3fcb4ff270d6c3ae6af680a998be4afa2d64967527af1191c971dd4e89ccd6e",
+    "basis-harmonic-s1-k2": "f40bf835b0ca4163fd80e3ac1dfa1db75d8b228278676a13623a677977c1e552",
+    "basis-mono-left-S13-k2": "a09b7030f77788ff059cf9c0e3917375d9d8e7269d67e476fdd822ca8ba0e225",
+    "basis-two-sided-s2-k1": "7dff9ee677d8a29bbea37664a85bdf9f6c71f42c34986c8a138284bdf5246d88",
     "help-apply": "a870a30c8b7b961cef1f370607c565ef78ecde89b25e1ec8b48ad4140df56ded",
     "help-decompose": "a13b3d2f14868eae4f1b7422017df2d4ea3b12d6ecc69bbcbd1e98ff386e751c",
 }
+
+# argparse from Python 3.13 on wraps the decompose usage line before --theorem, not after it
+if sys.version_info >= (3, 13):
+    DIGESTS["help-decompose"] = "c40282c3e81500c48a2660b0e9ad53ce19979af928eda36b955f0c7622b0cc04"
 
 
 def _run(capsys, argv) -> str:

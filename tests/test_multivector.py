@@ -1,6 +1,7 @@
 """Blade arithmetic against a brute-force sign oracle, plus the
 multivector layer built on it."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,25 @@ class TestParseRational:
         for bad in ("1.5", "1e3", "", "1/0", "1/2/3", "a", "½", "+1", " 2", None, 1.5):
             with pytest.raises((ValueError, TypeError)):
                 parse_rational(bad)
+
+    def test_edge_cases_match_fraction(self):
+        for text in ("-0", "007/014", "-4/2", "-12/18", "0/5", str(10**40) + "/3"):
+            got = parse_rational(text)
+            assert got == Fraction(text) and type(got) is Fraction
+        # Fraction takes these; the exact boundary keeps rejecting them
+        for bad in ("3/0", "3/", "+3", " 3", "\u0663", "-", "-/2", "--1", "1/-2"):
+            with pytest.raises(ValueError):
+                parse_rational(bad)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter sets no integer-string digit limit")
+    def test_digit_limit_as_fraction(self):
+        long = "1" * (sys.get_int_max_str_digits() + 1)
+        for text in (long, "-" + long, "1/" + long):
+            with pytest.raises(ValueError):
+                Fraction(text)
+            with pytest.raises(ValueError):
+                parse_rational(text)
 
     def test_format_lowest_terms(self):
         assert format_rational(Fraction(4, 6)) == "2/3"
