@@ -12,8 +12,6 @@ from .polynomial import CliffordPoly, monomial_keys, norm_squared_poly, space_di
 from .operators import (
     OmegaWord,
     PinElement,
-    apply_operator,
-    derived_operator,
     dirac,
     dirac_minus,
     dirac_plus,
@@ -68,8 +66,6 @@ __all__ = [
     "space_dim",
     "OmegaWord",
     "PinElement",
-    "apply_operator",
-    "derived_operator",
     "dirac",
     "dirac_minus",
     "dirac_plus",

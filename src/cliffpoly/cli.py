@@ -89,10 +89,21 @@ def _emit(obj, output: str | None) -> None:
             raise CliError(2, f"cannot write {output}: {e}") from None
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) for ASCII text only: int() alone also reads the digits of
+    other scripts.  Fails with argparse's own "invalid int value"."""
+    try:
+        if not text.isascii():
+            raise ValueError(text)
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_grades(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
+        return [_ascii_int(tok) for tok in text.split(",") if tok.strip() != ""]
+    except argparse.ArgumentTypeError:
         raise CliError(2, f"cannot parse grade set {text!r}; expected comma-separated integers") from None
 
 
@@ -195,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_basis = sub.add_parser("basis", help="emit a canonical solution-space basis")
     p_basis.add_argument("--kind", required=True, choices=KINDS)
-    p_basis.add_argument("--m", required=True, type=int)
-    p_basis.add_argument("--k", required=True, type=int)
-    p_basis.add_argument("--s", type=int)
+    p_basis.add_argument("--m", required=True, type=_ascii_int)
+    p_basis.add_argument("--k", required=True, type=_ascii_int)
+    p_basis.add_argument("--s", type=_ascii_int)
     p_basis.add_argument("--S", help="comma-separated grade set, e.g. 1,3")
     p_basis.add_argument("--output")
     p_basis.set_defaults(func=cmd_basis)
@@ -219,13 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(func=cmd_decompose)
 
     p_ver = sub.add_parser("verify", help="run the certification sweep")
-    p_ver.add_argument("--m", required=True, type=int)
-    p_ver.add_argument("--kmax", required=True, type=int)
+    p_ver.add_argument("--m", required=True, type=_ascii_int)
+    p_ver.add_argument("--kmax", required=True, type=_ascii_int)
     p_ver.add_argument("--theorems", default="all",
                        help="comma-separated theorem names, or all")
     p_ver.add_argument("--budget-seconds", type=float,
                        help=f"wall-clock guard; defaults to ${BUDGET_ENV} when set")
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_ver.add_argument("--seed", type=_ascii_int, default=DEFAULT_SEED)
     p_ver.add_argument("--output")
     p_ver.set_defaults(func=cmd_verify)
 

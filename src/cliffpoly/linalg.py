@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .multivector import _as_fraction
-from .operators import OperatorSpec, apply_operator, bigrade_image
 from .polynomial import CliffordPoly, TermKey, monomial_keys, term_sort_key
 
 
@@ -249,37 +248,18 @@ def coords_in_basis(p: CliffordPoly, vectors: Iterable[CliffordPoly]) -> list[Fr
 
 
 # ---------------------------------------------------------------------------
-# exact matrices of operator trees
+# exact matrices of operators
 
 
-def _as_grade_set(grades: Union[int, Iterable[int]]) -> set[int]:
-    return {grades} if isinstance(grades, int) else set(grades)
-
-
-def image_keys(spec: OperatorSpec, m: int, grades: Union[int, Iterable[int]], k: int) -> list[TermKey]:
-    """Canonical row labels: the monomial keys of every bigrade the
-    operator can reach from the input bigrades."""
-    gset = _as_grade_set(grades)
-    targets = bigrade_image(spec, m, {(k, s) for s in gset})
-    keys: list[TermKey] = []
-    for kk, ss in targets:
-        keys.extend(monomial_keys(m, ss, kk))
-    keys.sort(key=term_sort_key)
-    return keys
-
-
-def operator_matrix(spec: OperatorSpec, m: int, grades: Union[int, Iterable[int]], k: int) -> RationalMatrix:
+def operator_matrix(op: Callable[[CliffordPoly], CliffordPoly], m: int,
+                    grades: Union[int, Iterable[int]], k: int) -> RationalMatrix:
     """Matrix of the operator from the canonical monomial basis of the
-    input bigrades to the canonical basis of its image bigrades."""
-    gset = _as_grade_set(grades)
-    in_keys = monomial_keys(m, gset, k)
-    out_keys = image_keys(spec, m, gset, k)
-    index = {key: i for i, key in enumerate(out_keys)}
-    entries = [[Fraction(0)] * len(in_keys) for _ in range(len(out_keys))]
-    for col, (alpha, mask) in enumerate(in_keys):
-        image = apply_operator(spec, CliffordPoly.monomial(m, alpha, mask))
+    input bigrades; its rows are the sorted keys the images reach."""
+    in_keys = monomial_keys(m, grades, k)
+    images = [op(CliffordPoly.monomial(m, alpha, mask)) for alpha, mask in in_keys]
+    index = {key: i for i, key in enumerate(keys_union(images))}
+    entries = [[Fraction(0)] * len(in_keys) for _ in index]
+    for col, image in enumerate(images):
         for key, c in image.terms.items():
-            if key not in index:
-                raise AssertionError(f"operator image left its declared bigrades at {key}")
             entries[index[key]][col] = c
     return RationalMatrix(entries, len(in_keys))

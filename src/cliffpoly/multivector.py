@@ -30,8 +30,8 @@ def _check_m(m: int) -> None:
 
 
 def blade_from_indices(indices: Iterable[int], m: int) -> int:
-    """Bitmask of a blade given by strictly increasing 1-based indices."""
-    _check_m(m)
+    """Bitmask of a blade given by strictly increasing 1-based indices;
+    m must already be checked."""
     mask = 0
     prev = 0
     for i in indices:
@@ -149,6 +149,7 @@ class Multivector:
 
     @classmethod
     def from_blade(cls, m: int, indices: Iterable[int], coeff: Scalar = 1) -> "Multivector":
+        _check_m(m)
         return cls(m, {blade_from_indices(indices, m): coeff})
 
     @classmethod

@@ -23,21 +23,18 @@ diagonal operators act as scalars:
 
 The scalar forms are the implementation; the defining sums, like the
 other written-out oracles, live with the tests (tests/oracles.py).
-
-Operator trees (Primitive/Compose/Sum/Scale) describe derived operators
-symbolically so exact matrices can be assembled for any one of them.
-Composition is right-to-left: Compose((f, g)) applies g first.
+Every other operator is a function composed of these; OPERATORS maps
+each name the CLI accepts to one.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
-from .multivector import Multivector, Scalar, _as_fraction, blade_grade, blade_product
+from .multivector import Multivector, Scalar, blade_grade, blade_product
 from .polynomial import CliffordPoly, MultiIndex, TermKey
 
 WEDGE = "w"
@@ -111,147 +108,47 @@ def ferm_minus(p: CliffordPoly) -> CliffordPoly:
 
 
 # ---------------------------------------------------------------------------
-# operator trees
-
-PRIMITIVES: dict[str, Callable[[CliffordPoly], CliffordPoly]] = {
-    "dplus": dirac_plus,
-    "dminus": dirac_minus,
-    "xwedge": x_wedge,
-    "xdot": x_dot,
-    "euler": euler,
-    "ferm-plus": ferm_plus,
-    "ferm-minus": ferm_minus,
-}
-
-# (degree shift, grade shift) of each primitive
-PRIMITIVE_SHIFTS: dict[str, tuple[int, int]] = {
-    "dplus": (-1, 1),
-    "dminus": (-1, -1),
-    "xwedge": (1, 1),
-    "xdot": (1, -1),
-    "euler": (0, 0),
-    "ferm-plus": (0, 0),
-    "ferm-minus": (0, 0),
-}
-
-
-@dataclass(frozen=True)
-class Primitive:
-    name: str
-
-    def __post_init__(self):
-        if self.name not in PRIMITIVES:
-            raise ValueError(f"unknown primitive {self.name!r}; expected one of {sorted(PRIMITIVES)}")
-
-
-@dataclass(frozen=True)
-class Compose:
-    factors: tuple["OperatorSpec", ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValueError("Compose needs at least one factor")
-
-
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple["OperatorSpec", ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("Sum needs at least one term")
-
-
-@dataclass(frozen=True)
-class Scale:
-    coeff: Fraction
-    child: "OperatorSpec"
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", _as_fraction(self.coeff))
-
-
-OperatorSpec = Union[Primitive, Compose, Sum, Scale]
-
-
-def apply_operator(spec: OperatorSpec, p: CliffordPoly) -> CliffordPoly:
-    """Evaluate an operator tree; composition acts right-to-left."""
-    if isinstance(spec, Primitive):
-        return PRIMITIVES[spec.name](p)
-    if isinstance(spec, Compose):
-        for factor in reversed(spec.factors):
-            p = apply_operator(factor, p)
-        return p
-    if isinstance(spec, Sum):
-        return CliffordPoly._sum(p.m, [apply_operator(term, p) for term in spec.terms])
-    if isinstance(spec, Scale):
-        return apply_operator(spec.child, p).scale(spec.coeff)
-    raise TypeError(f"not an operator spec: {spec!r}")
-
-
-def bigrade_image(spec: OperatorSpec, m: int, bigrades: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Bigrades (k, s) that can carry the image of the given input bigrades.
-
-    Out-of-range intermediate bigrades annihilate; compositions thread
-    through each factor right-to-left.
-    """
-    current = {(k, s) for k, s in bigrades if k >= 0 and 0 <= s <= m}
-    if isinstance(spec, Primitive):
-        dk, ds = PRIMITIVE_SHIFTS[spec.name]
-        return {(k + dk, s + ds) for k, s in current if k + dk >= 0 and 0 <= s + ds <= m}
-    if isinstance(spec, Compose):
-        for factor in reversed(spec.factors):
-            current = bigrade_image(factor, m, current)
-        return current
-    if isinstance(spec, Sum):
-        out: set[tuple[int, int]] = set()
-        for term in spec.terms:
-            out |= bigrade_image(term, m, current)
-        return out
-    if isinstance(spec, Scale):
-        return bigrade_image(spec.child, m, current)
-    raise TypeError(f"not an operator spec: {spec!r}")
-
-
-def derived_operator(name: str) -> OperatorSpec:
-    """Named operator trees over the four halves and three diagonals.
-
-    dirac            dplus + dminus
-    dirac-tilde      dplus - dminus
-    laplacian        -(dplus dminus + dminus dplus), the usual Laplacian
-    laplacian-tilde  -(dplus dminus - dminus dplus)
-    A                euler + ferm-plus        (scalar k + s on bigrades)
-    B                euler + ferm-minus       (scalar k + m - s)
-    X                xwedge A - xdot B
-    X-tilde          xwedge A + xdot B
-    """
-    spec = OPERATORS.get(name)
-    if spec is None or callable(spec):
-        trees = sorted(key for key, op in OPERATORS.items() if not callable(op))
-        raise ValueError(f"unknown operator {name!r}; expected one of {trees}")
-    return spec
-
-
-def apply_named(name: str, p: CliffordPoly) -> CliffordPoly:
-    """Apply the operator registered in OPERATORS under the given name."""
-    op = OPERATORS[name]
-    return op(p) if callable(op) else apply_operator(op, p)
-
-
-def laplacian(p: CliffordPoly) -> CliffordPoly:
-    return apply_operator(derived_operator("laplacian"), p)
-
-
-def laplacian_tilde(p: CliffordPoly) -> CliffordPoly:
-    return apply_operator(derived_operator("laplacian-tilde"), p)
+# derived operators: compositions of the halves and diagonals
 
 
 def dirac(p: CliffordPoly) -> CliffordPoly:
+    """The Dirac operator: dplus + dminus."""
     return dirac_plus(p) + dirac_minus(p)
 
 
 def dirac_tilde(p: CliffordPoly) -> CliffordPoly:
+    """The twisted Dirac operator: dplus - dminus."""
     return dirac_plus(p) - dirac_minus(p)
+
+
+def laplacian(p: CliffordPoly) -> CliffordPoly:
+    """The usual Laplacian: -(dplus dminus + dminus dplus)."""
+    return -(dirac_plus(dirac_minus(p)) + dirac_minus(dirac_plus(p)))
+
+
+def laplacian_tilde(p: CliffordPoly) -> CliffordPoly:
+    """The twisted Laplacian: -(dplus dminus - dminus dplus)."""
+    return dirac_minus(dirac_plus(p)) - dirac_plus(dirac_minus(p))
+
+
+def diagonal_a(p: CliffordPoly) -> CliffordPoly:
+    """A = euler + ferm-plus, the scalar k + s on bigrade (k, s)."""
+    return euler(p) + ferm_plus(p)
+
+
+def diagonal_b(p: CliffordPoly) -> CliffordPoly:
+    """B = euler + ferm-minus, the scalar k + m - s on bigrade (k, s)."""
+    return euler(p) + ferm_minus(p)
+
+
+def x_op(p: CliffordPoly) -> CliffordPoly:
+    """X = xwedge A - xdot B."""
+    return x_wedge(diagonal_a(p)) - x_dot(diagonal_b(p))
+
+
+def x_tilde(p: CliffordPoly) -> CliffordPoly:
+    """X-tilde = xwedge A + xdot B."""
+    return x_wedge(diagonal_a(p)) + x_dot(diagonal_b(p))
 
 
 # ---------------------------------------------------------------------------
@@ -282,30 +179,32 @@ def sandwich_x(p: CliffordPoly) -> CliffordPoly:
     return _signed_by_grade(p, lambda q: x_dot(x_wedge(q)) - x_wedge(x_dot(q)))
 
 
-_P = {name: Primitive(name) for name in PRIMITIVES}
-_A = Sum((_P["euler"], _P["ferm-plus"]))
-_B = Sum((_P["euler"], _P["ferm-minus"]))
-_PLUS_MINUS = Compose((_P["dplus"], _P["dminus"]))
-_MINUS_PLUS = Compose((_P["dminus"], _P["dplus"]))
-
-# Every operator applied by name, in the order the CLI lists them: an
-# operator tree, or a function for the two per-grade sign twists, which
-# no tree expresses.
-OPERATORS: dict[str, Union[OperatorSpec, Callable[[CliffordPoly], CliffordPoly]]] = {
-    **{name: _P[name] for name in ("dplus", "dminus", "xwedge", "xdot")},
-    "xfull": Sum((_P["xwedge"], _P["xdot"])),
-    "dirac": Sum((_P["dplus"], _P["dminus"])),
+# Every operator applied by name, in the order the CLI lists them.
+OPERATORS: dict[str, Callable[[CliffordPoly], CliffordPoly]] = {
+    "dplus": dirac_plus,
+    "dminus": dirac_minus,
+    "xwedge": x_wedge,
+    "xdot": x_dot,
+    "xfull": x_full,
+    "dirac": dirac,
     "dirac-right": dirac_right,
-    "dirac-tilde": Sum((_P["dplus"], Scale(-1, _P["dminus"]))),
-    "laplacian": Scale(-1, Sum((_PLUS_MINUS, _MINUS_PLUS))),
-    "laplacian-tilde": Scale(-1, Sum((_PLUS_MINUS, Scale(-1, _MINUS_PLUS)))),
-    **{name: _P[name] for name in ("euler", "ferm-plus", "ferm-minus")},
-    "A": _A,
-    "B": _B,
-    "X": Sum((Compose((_P["xwedge"], _A)), Scale(-1, Compose((_P["xdot"], _B))))),
-    "X-tilde": Sum((Compose((_P["xwedge"], _A)), Compose((_P["xdot"], _B)))),
+    "dirac-tilde": dirac_tilde,
+    "laplacian": laplacian,
+    "laplacian-tilde": laplacian_tilde,
+    "euler": euler,
+    "ferm-plus": ferm_plus,
+    "ferm-minus": ferm_minus,
+    "A": diagonal_a,
+    "B": diagonal_b,
+    "X": x_op,
+    "X-tilde": x_tilde,
     "sandwich-x": sandwich_x,
 }
+
+
+def apply_named(name: str, p: CliffordPoly) -> CliffordPoly:
+    """Apply the operator registered in OPERATORS under the given name."""
+    return OPERATORS[name](p)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ from .linalg import (
     rank,
     span_equal,
 )
-from .operators import OmegaWord, derived_operator, word_apply
+from .multivector import _check_m
+from .operators import OPERATORS, OmegaWord, word_apply
 from .polynomial import CliffordPoly, monomial_keys, space_dim
 
 
@@ -71,7 +72,7 @@ def omega_words(max_len: int) -> list[OmegaWord]:
 
 def _stacked(op_names: Iterable[str], m: int, grades: Union[int, Iterable[int]], k: int) -> RationalMatrix:
     """The named operators' matrices stacked over the monomial basis of (grades, k)."""
-    rows = [row for name in op_names for row in operator_matrix(derived_operator(name), m, grades, k).entries]
+    rows = [row for name in op_names for row in operator_matrix(OPERATORS[name], m, grades, k).entries]
     return RationalMatrix(rows, space_dim(m, grades, k))
 
 
@@ -128,8 +129,9 @@ def _check_grade_set(S: Iterable[int], m: int) -> frozenset[int]:
 def space_basis(kind: str, m: int, k: int, s: int | None = None,
                 S: Iterable[int] | None = None) -> SubspaceBasis:
     """Canonical basis of the requested solution space; memoized."""
-    if k < 0:
-        raise ValueError("degree k must be nonnegative")
+    _check_m(m)
+    if type(k) is not int or k < 0:
+        raise ValueError(f"degree k must be a nonnegative integer, got {k!r}")
     return _space_basis(kind, m, k, _normalize_grades(kind, m, s, S))
 
 

@@ -23,7 +23,10 @@ def x1sq_file(tmp_path):
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses its own arguments this way
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -52,6 +55,13 @@ def test_basis_mono_S(capsys):
     code, out, _ = run_cli(capsys, "basis", "--kind", "mono-S", "--m", "3", "--k", "1", "--S", "1,3")
     assert code == 0
     assert json.loads(out)["dim"] == 8
+
+
+@pytest.mark.parametrize("m", ["0", "9", "26"])
+def test_basis_rejects_out_of_range_m(capsys, m):
+    code, out, err = run_cli(capsys, "basis", "--kind", "hodge", "--m", m, "--k", "1", "--s", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("cliffpoly: ") and "1..8" in err
 
 
 def test_basis_output_file(capsys, tmp_path):
@@ -129,11 +139,23 @@ def test_float_coefficient_rejected(capsys, tmp_path):
     ({"m": 1, "terms": [{"alpha": [1], "blade": [True], "coeff": "1"}]}, "blade index"),
     ({"m": 1, "terms": [{"alpha": [1], "blade": [], "coeff": "\u0663/\u0662"}]}, "rational"),
     ({"m": 1, "terms": [{"alpha": [1], "blade": [], "coeff": "1/\u0662"}]}, "rational"),
+    # command-line integers, like JSON ones, are ASCII digits only
+    (("verify", "--m", "\u0663", "--kmax", "1"), "invalid int value"),
+    (("verify", "--m", "2", "--kmax", "\u0661"), "invalid int value"),
+    (("verify", "--m", "2", "--kmax", "1", "--seed", "\u0667"), "invalid int value"),
+    (("basis", "--kind", "hodge", "--m", "\u0662", "--k", "1", "--s", "1"), "invalid int value"),
+    (("basis", "--kind", "hodge", "--m", "2", "--k", "\u0661", "--s", "1"), "invalid int value"),
+    (("basis", "--kind", "hodge", "--m", "2", "--k", "1", "--s", "\u0661"), "invalid int value"),
+    (("basis", "--kind", "hodge", "--m", "2", "--k", "1", "--s", "one"), "invalid int value"),
+    (("basis", "--kind", "mono-S", "--m", "3", "--k", "1", "--S", "\u0661,\u0663"), "grade set"),
 ])
 def test_booleans_and_non_ascii_digits_rejected(capsys, tmp_path, doc, needle):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "apply", "--op", "dirac", "--input", str(bad))
+    """doc is a polynomial fed to apply, or a whole command line."""
+    if isinstance(doc, dict):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        doc = ("apply", "--op", "dirac", "--input", str(bad))
+    code, out, err = run_cli(capsys, *doc)
     assert code == 2 and out == ""
     assert needle in err
 

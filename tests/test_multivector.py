@@ -98,6 +98,9 @@ def test_blade_index_round_trip():
         blade_from_indices([0], 3)
     with pytest.raises(ValueError):
         blade_from_indices([4], 3)
+    for m in (0, 9, True):
+        with pytest.raises(ValueError, match="generators"):
+            Multivector.from_blade(m, [1])
 
 
 class TestParseRational:

@@ -8,11 +8,10 @@ import pytest
 
 from cliffpoly.multivector import Multivector
 from cliffpoly.operators import (
+    OPERATORS,
     OmegaWord,
     PinElement,
-    apply_operator,
-    bigrade_image,
-    derived_operator,
+    apply_named,
     dirac,
     dirac_minus,
     dirac_plus,
@@ -32,7 +31,7 @@ from cliffpoly.operators import (
     x_full,
     x_wedge,
 )
-from cliffpoly.polynomial import CliffordPoly, norm_squared_poly
+from cliffpoly.polynomial import CliffordPoly, monomial_keys, norm_squared_poly
 from oracles import (
     dirac_right_literal,
     euler_via_sum,
@@ -152,8 +151,8 @@ def test_diagonal_scalars_on_bigrades():
     assert euler(p) == p.scale(3)
     assert ferm_plus(p) == p.scale(2)
     assert ferm_minus(p) == p.scale(1)
-    assert apply_operator(derived_operator("A"), p) == p.scale(5)
-    assert apply_operator(derived_operator("B"), p) == p.scale(4)
+    assert OPERATORS["A"](p) == p.scale(5)
+    assert OPERATORS["B"](p) == p.scale(4)
 
 
 # ---------------------------------------------------------------------------
@@ -265,35 +264,48 @@ def test_word_application_order():
 
 
 # ---------------------------------------------------------------------------
-# operator trees and bigrade accounting
+# bigrade accounting of the registry
+
+# (degree shift, grade shifts) of every operator in OPERATORS
+BIGRADE_SHIFTS = {
+    "dplus": (-1, {1}),
+    "dminus": (-1, {-1}),
+    "xwedge": (1, {1}),
+    "xdot": (1, {-1}),
+    **{name: (1, {1, -1}) for name in ("xfull", "X", "X-tilde")},
+    **{name: (-1, {1, -1}) for name in ("dirac", "dirac-right", "dirac-tilde")},
+    **{name: (-2, {0}) for name in ("laplacian", "laplacian-tilde")},
+    **{name: (0, {0}) for name in ("euler", "ferm-plus", "ferm-minus", "A", "B")},
+    "sandwich-x": (2, {0}),
+}
 
 
-def test_bigrade_image_accounting():
-    m = 3
-    assert bigrade_image(derived_operator("laplacian"), m, {(2, 1)}) == {(0, 1)}
-    assert bigrade_image(derived_operator("laplacian"), m, {(1, 1)}) == set()
-    assert bigrade_image(derived_operator("dplus"), m, {(2, 3)}) == set()
-    assert bigrade_image(derived_operator("dirac"), m, {(2, 1)}) == {(1, 0), (1, 2)}
-    assert bigrade_image(derived_operator("X"), m, {(1, 1)}) == {(2, 0), (2, 2)}
+def dense_poly(m, k, s):
+    """Every monomial of bigrade (k, s) with coefficient 1."""
+    return CliffordPoly(m, dict.fromkeys(monomial_keys(m, s, k), 1))
 
 
-def test_bigrade_image_is_sound():
-    # every nonzero image term lands in a declared bigrade
+def test_operator_bigrade_shifts():
+    assert BIGRADE_SHIFTS.keys() == OPERATORS.keys()
     m = 3
     rng = Random(SEED)
-    for name in ("dirac", "laplacian", "laplacian-tilde", "X", "X-tilde", "xfull"):
-        spec = derived_operator(name)
+    for name, (dk, ds) in BIGRADE_SHIFTS.items():
         for k in range(3):
             for s in range(m + 1):
-                p = random_poly(m, k, {s}, rng)
-                allowed = bigrade_image(spec, m, {(k, s)})
-                image = apply_operator(spec, p)
-                assert image.bigrades() <= allowed
+                allowed = {(k + dk, s + d) for d in ds}
+                for p in (random_poly(m, k, {s}, rng), dense_poly(m, k, s)):
+                    assert apply_named(name, p).bigrades() <= allowed, (name, k, s)
+    # worked examples: every reachable bigrade is reached by a dense input
+    assert apply_named("laplacian", dense_poly(m, 2, 1)).bigrades() == {(0, 1)}
+    assert apply_named("laplacian", dense_poly(m, 1, 1)).is_zero
+    assert apply_named("dplus", dense_poly(m, 2, 3)).is_zero
+    assert apply_named("dirac", dense_poly(m, 2, 1)).bigrades() == {(1, 0), (1, 2)}
+    assert apply_named("X", dense_poly(m, 1, 1)).bigrades() == {(2, 0), (2, 2)}
 
 
-def test_derived_operator_unknown_name():
-    with pytest.raises(ValueError):
-        derived_operator("curl")
+def test_apply_named_unknown_name():
+    with pytest.raises(KeyError):
+        apply_named("curl", CliffordPoly.one(3))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,17 @@ from math import comb
 
 import pytest
 
-from cliffpoly.linalg import span_equal
-from cliffpoly.operators import OmegaWord, dirac, dirac_minus, dirac_plus, dirac_right, laplacian, laplacian_tilde
+from cliffpoly.linalg import nullspace, operator_matrix, span_equal
+from cliffpoly.operators import (
+    OmegaWord,
+    dirac,
+    dirac_minus,
+    dirac_plus,
+    dirac_right,
+    dirac_tilde,
+    laplacian,
+    laplacian_tilde,
+)
 from cliffpoly.polynomial import space_dim
 from cliffpoly.spaces import (
     KERNELS,
@@ -167,6 +176,23 @@ def test_space_basis_argument_validation():
         space_basis("hodge", 3, -1, s=1)
     with pytest.raises(ValueError):
         space_basis("hodge", 3, 1, s=7)
+    # m is checked before any blade is enumerated, k before any degree
+    for m in (0, 9, 26):
+        with pytest.raises(ValueError, match="1..8"):
+            space_basis("hodge", m, 1, s=0)
+    for k in (-1, True, 1.0):
+        with pytest.raises(ValueError, match="degree k"):
+            space_basis("hodge", 3, k, s=1)
+
+
+def test_mono_right_is_the_kernel_of_dirac_right():
+    # the literal right Dirac operator and dirac-tilde share their kernel,
+    # so the mono-right space, built from dirac-tilde, is right-monogenic
+    for m in (1, 2, 3):
+        for k in range(3):
+            for grades in [*range(m + 1), range(m + 1)]:
+                assert (nullspace(operator_matrix(dirac_right, m, grades, k))
+                        == nullspace(operator_matrix(dirac_tilde, m, grades, k))), (m, k, grades)
 
 
 def test_kinds_follow_the_kernel_table():
