@@ -1,7 +1,8 @@
 """Exact rational linear algebra over the polynomial spaces.
 
 Dense matrices of Fractions, admitted by the coefficient rule of the
-polynomials: int or Fraction, nothing else.  `rref` is the one
+polynomials: int or Fraction, nothing else.  Polynomials become matrix
+entries only through `columns_matrix`, one column each.  `rref` is the one
 elimination, a single fraction-free Gauss-Jordan pass: every row is
 scaled to a primitive integer row, each pivot clears its column above
 and below with integer updates that keep the rows primitive, rows that
@@ -46,12 +47,6 @@ class RationalMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: int) -> "RationalMatrix":
-        if any(len(col) != rows for col in columns):
-            raise ValueError("column length mismatch")
-        return cls([[col[r] for col in columns] for r in range(rows)], len(columns))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalMatrix):
@@ -145,18 +140,25 @@ def keys_union(polys: Iterable[CliffordPoly]) -> list[TermKey]:
     return sorted(keys, key=term_sort_key)
 
 
-def poly_vector(p: CliffordPoly, keys: Sequence[TermKey]) -> list[Fraction]:
+def columns_matrix(polys: Sequence[CliffordPoly], keys: Sequence[TermKey] | None = None) -> RationalMatrix:
+    """The matrix whose columns are the polynomials' coordinates over keys,
+    by default the sorted union of their keys; the one way a polynomial
+    becomes matrix entries.  Raises ValueError for a term outside keys."""
+    if keys is None:
+        keys = keys_union(polys)
     index = {key: i for i, key in enumerate(keys)}
-    v = [Fraction(0)] * len(keys)
-    for key, c in p.terms.items():
-        if key not in index:
-            raise ValueError(f"term {key} outside the ambient key list")
-        v[index[key]] = c
-    return v
+    zero = Fraction(0)
+    entries = [[zero] * len(polys) for _ in index]
+    for col, p in enumerate(polys):
+        for key, c in p.terms.items():
+            if key not in index:
+                raise ValueError(f"term {key} outside the ambient key list")
+            entries[index[key]][col] = c
+    return RationalMatrix(entries, len(polys))
 
 
-def rows_matrix(polys: Sequence[CliffordPoly], keys: Sequence[TermKey]) -> RationalMatrix:
-    return RationalMatrix([poly_vector(p, keys) for p in polys], len(keys))
+def poly_vector(p: CliffordPoly, keys: Sequence[TermKey]) -> list[Fraction]:
+    return [row[0] for row in columns_matrix([p], keys).entries]
 
 
 def poly_from_vector(m: int, keys: Sequence[TermKey], v: Sequence[Fraction]) -> CliffordPoly:
@@ -176,7 +178,7 @@ class SubspaceBasis:
                 raise ValueError("basis vectors must share one algebra")
             if v.is_zero:
                 raise ValueError(f"zero vector in basis {label!r}")
-        if rank(rows_matrix(vectors, keys_union(vectors))) != len(vectors):
+        if vectors and rank(columns_matrix(vectors)) != len(vectors):
             raise ValueError(f"dependent vectors in basis {label!r}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "label", label)
@@ -202,10 +204,7 @@ class SubspaceBasis:
 def span_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     """Same span: both bases are independent, so the spans agree exactly
     when the union has the rank of each."""
-    if a.dim != b.dim:
-        return False
-    union = a.vectors + b.vectors
-    return rank(rows_matrix(union, keys_union(union))) == a.dim
+    return a.dim == b.dim and rank(columns_matrix(a.vectors + b.vectors)) == a.dim
 
 
 @dataclass(frozen=True)
@@ -223,8 +222,7 @@ def direct_sum_check(parts: Sequence[SubspaceBasis], ambient_dim: int,
     vectors = [v for part in parts for v in part.vectors]
     dims = tuple(part.dim for part in parts)
     total = len(vectors)
-    keys = ambient_keys if ambient_keys is not None else keys_union(vectors)
-    rk = rank(rows_matrix(vectors, keys))
+    rk = rank(columns_matrix(vectors, ambient_keys))
     return DirectSumReport(dims, total, rk, rk == total, rk == ambient_dim)
 
 
@@ -237,8 +235,7 @@ def coords_in_basis(p: CliffordPoly, vectors: Iterable[CliffordPoly]) -> list[Fr
     n = len(polys) - 1
     if p.is_zero:
         return [Fraction(0)] * n
-    keys = keys_union(polys)
-    rr = rref(RationalMatrix.from_columns([poly_vector(v, keys) for v in polys], len(keys)))
+    rr = rref(columns_matrix(polys))
     if n in rr.pivots:
         raise NotInSpan("polynomial outside the span of the given vectors")
     coords = [Fraction(0)] * n
@@ -255,11 +252,5 @@ def operator_matrix(op: Callable[[CliffordPoly], CliffordPoly], m: int,
                     grades: Union[int, Iterable[int]], k: int) -> RationalMatrix:
     """Matrix of the operator from the canonical monomial basis of the
     input bigrades; its rows are the sorted keys the images reach."""
-    in_keys = monomial_keys(m, grades, k)
-    images = [op(CliffordPoly.monomial(m, alpha, mask)) for alpha, mask in in_keys]
-    index = {key: i for i, key in enumerate(keys_union(images))}
-    entries = [[Fraction(0)] * len(in_keys) for _ in index]
-    for col, image in enumerate(images):
-        for key, c in image.terms.items():
-            entries[index[key]][col] = c
-    return RationalMatrix(entries, len(in_keys))
+    images = [op(CliffordPoly.monomial(m, alpha, mask)) for alpha, mask in monomial_keys(m, grades, k)]
+    return columns_matrix(images)

@@ -17,16 +17,18 @@ spans agree.
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Iterable, Union
+from functools import cache, partial
+from typing import Callable, Iterable, Union
 
 from .linalg import (
     RationalMatrix,
     SubspaceBasis,
+    columns_matrix,
     nullspace,
     operator_matrix,
     poly_from_vector,
     rank,
+    rref,
     span_equal,
 )
 from .multivector import _check_m
@@ -95,14 +97,10 @@ def _normalize_grades(kind: str, m: int, s: int | None, S: Iterable[int] | None)
     if kind in ("hodge", "harmonic", "infra"):
         if s is None or S is not None:
             raise ValueError(f"kind {kind!r} takes a single grade s")
-        if not 0 <= s <= m:
-            raise ValueError(f"grade s={s} outside 0..{m}")
-        return s
+        return _check_grade(s, m)
     if kind == "two-sided":
         if s is not None and S is None:
-            if not 0 <= s <= m:
-                raise ValueError(f"grade s={s} outside 0..{m}")
-            return s
+            return _check_grade(s, m)
         if s is None and S is not None:
             return _check_grade_set(S, m)
         raise ValueError("kind 'two-sided' takes s or S, not both")
@@ -117,12 +115,19 @@ def _normalize_grades(kind: str, m: int, s: int | None, S: Iterable[int] | None)
     raise ValueError(f"unknown space kind {kind!r}; expected one of {KINDS}")
 
 
+def _check_grade(s: int, m: int) -> int:
+    # a bool or float equal to an int would share its memo entry and label
+    if type(s) is not int or not 0 <= s <= m:
+        raise ValueError(f"grade {s!r} is not an integer in 0..{m}")
+    return s
+
+
 def _check_grade_set(S: Iterable[int], m: int) -> frozenset[int]:
     S = frozenset(S)
     if not S:
         raise ValueError("grade set must be nonempty")
-    if any(not isinstance(s, int) or not 0 <= s <= m for s in S):
-        raise ValueError(f"grade set {sorted(S)} outside 0..{m}")
+    for s in S:
+        _check_grade(s, m)
     return S
 
 
@@ -155,6 +160,23 @@ def hodge_space(m: int, s: int, k: int) -> SubspaceBasis:
     return space_basis("hodge", m, k, s=s)
 
 
+def image_basis(label: str, source: SubspaceBasis,
+                f: Callable[[CliffordPoly], CliffordPoly]) -> SubspaceBasis:
+    """The images under f of the certified source's vectors, certified
+    independent, so f is injective on the source.
+
+    Dependent images raise TheoremViolation whose witness is the source
+    vector with the first image that is zero or dependent on those before.
+    """
+    images = [f(v) for v in source]
+    try:
+        return SubspaceBasis(source.m, label, images)
+    except ValueError:
+        pivots = rref(columns_matrix(images)).pivots
+        raise TheoremViolation(f"{label}: the map is not injective on {source.label}",
+                               witness=next(v for col, v in enumerate(source) if col not in pivots)) from None
+
+
 def word_vanishes(word: OmegaWord, s: int, m: int) -> bool:
     """Does the word annihilate every grade-s solution for structural reasons?
 
@@ -179,17 +201,10 @@ def component_space(word: OmegaWord | str, m: int, s: int, k: int) -> SubspaceBa
 def _component_space(word: OmegaWord, m: int, s: int, k: int) -> SubspaceBasis:
     label = f"{word}*hodge(m={m},s={s},k={k})"
     source = hodge_space(m, s, k)
-    if not 0 <= s <= m or k < 0 or source.dim == 0:
-        return SubspaceBasis(m, label, ())
-    images = [word_apply(word, v) for v in source]
     if word_vanishes(word, s, m):
-        bad = next((v for v, im in zip(source, images) if not im.is_zero), None)
+        bad = next((v for v in source if not word_apply(word, v).is_zero), None)
         if bad is not None:
             raise TheoremViolation(
                 f"word {word} should annihilate hodge(m={m},s={s},k={k}) but does not", witness=bad)
         return SubspaceBasis(m, label, ())
-    try:
-        return SubspaceBasis(m, label, images)
-    except ValueError:
-        raise TheoremViolation(
-            f"word {word} is not injective on hodge(m={m},s={s},k={k})") from None
+    return image_basis(label, source, partial(word_apply, word))

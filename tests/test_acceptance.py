@@ -159,9 +159,9 @@ def test_criterion_3():
     for m in (2, 3, 4):
         for s in range(m + 1):
             for k in range(5):
-                report, _ = harmonic_refine(m, s, k)
+                report = harmonic_refine(m, s, k)
                 assert report.ok, (m, s, k)
-    report, _ = harmonic_refine(3, 1, 2)
+    report = harmonic_refine(3, 1, 2)
     assert report.labels == ("H(1,2)", "d*H(2,1)", "(2*wd-1*dw)*H(1,0)")
     assert report.dims == (7, 5, 3)
     assert report.ambient_dim == 15
@@ -172,13 +172,13 @@ def test_criterion_4():
     for m in (2, 3, 4):
         for k in range(5):
             for side in ("left", "right"):
-                report, _ = monogenic_refine(m, k, side=side)
+                report = monogenic_refine(m, k, side=side)
                 assert report.ok and report.theorem == "monogenic", (m, k, side)
     grades = range(4)
     for k in range(4):
         for size in range(1, 5):
             for S in combinations(grades, size):
-                report, _ = monogenic_refine(3, k, S=set(S))
+                report = monogenic_refine(3, k, S=set(S))
                 assert report.ok, (k, S)
 
 
@@ -187,9 +187,9 @@ def test_criterion_5():
     for m in (2, 3, 4):
         for s in range(m + 1):
             for k in range(5):
-                report, _ = inframonogenic_refine(m, s, k)
+                report = inframonogenic_refine(m, s, k)
                 assert report.ok, (m, s, k)
-    report, _ = inframonogenic_refine(3, 1, 2)
+    report = inframonogenic_refine(3, 1, 2)
     assert "(4*wd+3*dw)*H(1,0)" in report.labels
     # eigenvalue bookkeeping behind those weights, on whole bases
     for m in (2, 3):

@@ -17,6 +17,7 @@ from cliffpoly.decompose import (
     harmonic_infra_intersection,
     harmonic_refine,
     inframonogenic_refine,
+    monogenic_components,
     monogenic_refine,
     refine_decompose,
     verify_report,
@@ -107,7 +108,7 @@ def test_h_bookkeeping_report_fields():
 
 
 def test_harmonic_refine_fixture_3_1_2():
-    report, _ = harmonic_refine(3, 1, 2)
+    report = harmonic_refine(3, 1, 2)
     assert report.ok
     assert report.labels == ("H(1,2)", "d*H(2,1)", "(2*wd-1*dw)*H(1,0)")
     assert report.dims == (7, 5, 3)
@@ -139,7 +140,7 @@ def test_harmonic_refine_sweep_small():
     for m in (2, 3):
         for s in range(m + 1):
             for k in range(4):
-                report, _ = harmonic_refine(m, s, k)
+                report = harmonic_refine(m, s, k)
                 assert report.ok, (m, s, k)
 
 
@@ -148,7 +149,7 @@ def test_harmonic_refine_sweep_small():
 
 
 def test_infra_refine_fixture_3_1_2():
-    report, _ = inframonogenic_refine(3, 1, 2)
+    report = inframonogenic_refine(3, 1, 2)
     assert report.ok
     assert report.labels == ("H(1,2)", "d*H(2,1)", "(4*wd+3*dw)*H(1,0)")
     assert report.dims == (7, 5, 3)
@@ -168,7 +169,7 @@ def test_infra_refine_sweep_small():
     for m in (2, 3):
         for s in range(m + 1):
             for k in range(4):
-                report, _ = inframonogenic_refine(m, s, k)
+                report = inframonogenic_refine(m, s, k)
                 assert report.ok, (m, s, k)
 
 
@@ -176,7 +177,7 @@ def test_intersection_refine_sweep_small():
     for m in (2, 3):
         for s in range(m + 1):
             for k in range(4):
-                report, _ = harmonic_infra_intersection(m, s, k)
+                report = harmonic_infra_intersection(m, s, k)
                 assert report.ok, (m, s, k)
 
 
@@ -185,7 +186,7 @@ def test_intersection_refine_sweep_small():
 
 
 def test_monogenic_refine_m2_k1():
-    report, _ = monogenic_refine(2, 1)
+    report = monogenic_refine(2, 1)
     assert report.ok
     assert report.labels == ("H(1,1)", "X*H(1,0)")
     assert report.dims == (2, 2)
@@ -193,7 +194,7 @@ def test_monogenic_refine_m2_k1():
 
 
 def test_monogenic_refine_right_side():
-    report, _ = monogenic_refine(2, 1, side="right")
+    report = monogenic_refine(2, 1, side="right")
     assert report.ok
     assert report.labels == ("H(1,1)", "Xt*H(1,0)")
     assert report.dims == (2, 2)
@@ -203,12 +204,12 @@ def test_monogenic_refine_sweep_small():
     for m in (2, 3):
         for k in range(4):
             for side in ("left", "right"):
-                report, _ = monogenic_refine(m, k, side=side)
+                report = monogenic_refine(m, k, side=side)
                 assert report.ok, (m, k, side)
 
 
 def test_restricted_monogenic_fixture():
-    report, _ = monogenic_refine(3, 1, S={1, 3})
+    report = monogenic_refine(3, 1, S={1, 3})
     assert report.ok
     assert report.theorem == "mt"
     assert report.labels == ("H(1,1)", "X*H(2,0)")
@@ -221,7 +222,7 @@ def test_restricted_monogenic_all_sets_m3():
     for bits in range(1, 1 << (m + 1)):
         S = {s for s in range(m + 1) if bits >> s & 1}
         for k in range(3):
-            report, _ = monogenic_refine(m, k, S=S)
+            report = monogenic_refine(m, k, S=S)
             assert report.ok, (S, k)
 
 
@@ -261,7 +262,7 @@ def test_refine_decompose_rejects_nonmember():
 
 def test_refine_decompose_monogenic_member():
     m, k = 2, 1
-    _, bases = monogenic_refine(m, k)
+    bases = [basis for _, basis in monogenic_components(m, k, frozenset(range(m + 1)), "left")]
     hodge_part = bases[1].vectors[0]     # H(1,1) after the empty H(0,1)
     x_part = bases[3].vectors[1]         # the X image layer
     p = hodge_part + x_part.scale(Fraction(2, 5))
@@ -323,6 +324,17 @@ def test_towers_reconstruct_random():
 def test_tower_unknown_mode():
     with pytest.raises(ValueError):
         classical_fischer_decompose(CliffordPoly.one(2), "spherical")
+
+
+def test_degenerate_tower_layer_is_a_violation(monkeypatch):
+    # a lift that kills its layer is a failed certificate naming the layer
+    import cliffpoly.decompose as dec
+
+    monkeypatch.setattr(dec, "norm_squared_poly", CliffordPoly.zero)
+    x1 = CliffordPoly.variable(3, 1)
+    with pytest.raises(TheoremViolation, match=r"\|x\|\^2\*Harm\(0,0\).*harmonic\(m=3,s=0,k=0\)") as info:
+        classical_fischer_decompose(x1 * x1, "harmonic")
+    assert info.value.witness == CliffordPoly.one(3)
 
 
 # ---------------------------------------------------------------------------

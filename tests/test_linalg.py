@@ -9,6 +9,7 @@ from cliffpoly.linalg import (
     NotInSpan,
     RationalMatrix,
     SubspaceBasis,
+    columns_matrix,
     coords_in_basis,
     direct_sum_check,
     keys_union,
@@ -17,7 +18,6 @@ from cliffpoly.linalg import (
     poly_from_vector,
     poly_vector,
     rank,
-    rows_matrix,
     rref,
     span_equal,
 )
@@ -162,6 +162,26 @@ def test_poly_vector_round_trip():
     assert poly_from_vector(m, keys, v) == p
     with pytest.raises(ValueError):
         poly_vector(CliffordPoly.one(m), keys)  # degree 0 keys missing
+
+
+def test_columns_matrix_is_the_transposed_vectors():
+    m = 2
+    rng = Random(SEED + 5)
+    polys = [random_poly(m, 2, {0, 1, 2}, rng) for _ in range(4)] + [CliffordPoly.zero(m)]
+
+    def transposed_vectors(keys):
+        return [[Fraction(p.terms.get(key, 0)) for p in polys] for key in keys]
+
+    keys = monomial_keys(m, range(m + 1), 2)
+    mat = columns_matrix(polys, keys)
+    assert (mat.rows, mat.cols) == (len(keys), len(polys))
+    assert mat.entries == transposed_vectors(keys)
+    # by default the rows are the sorted key union; a zero polynomial is a zero column
+    assert columns_matrix(polys).entries == transposed_vectors(keys_union(polys))
+    assert columns_matrix([CliffordPoly.zero(m)] * 2) == RationalMatrix([], cols=2)
+    assert columns_matrix([]) == RationalMatrix([], cols=0)
+    with pytest.raises(ValueError):
+        columns_matrix([CliffordPoly.one(m)], keys)  # degree 0 keys missing
 
 
 def test_keys_union_ordered():

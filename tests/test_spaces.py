@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from cliffpoly.linalg import nullspace, operator_matrix, span_equal
+from cliffpoly.linalg import SubspaceBasis, nullspace, operator_matrix, span_equal
 from cliffpoly.operators import (
     OmegaWord,
     dirac,
@@ -16,13 +16,14 @@ from cliffpoly.operators import (
     laplacian,
     laplacian_tilde,
 )
-from cliffpoly.polynomial import space_dim
+from cliffpoly.polynomial import CliffordPoly, space_dim
 from cliffpoly.spaces import (
     KERNELS,
     KINDS,
     TheoremViolation,
     component_space,
     hodge_space,
+    image_basis,
     kernel_dim,
     omega_words,
     space_basis,
@@ -183,6 +184,19 @@ def test_space_basis_argument_validation():
     for k in (-1, True, 1.0):
         with pytest.raises(ValueError, match="degree k"):
             space_basis("hodge", 3, k, s=1)
+    # grades are ints: a bool or float equal to one would share its memo entry
+    for kind, s in [("hodge", True), ("hodge", 1.0), ("hodge", 1.5), ("two-sided", False)]:
+        with pytest.raises(ValueError, match="grade"):
+            space_basis(kind, 3, 1, s=s)
+    for kind, S in [("mono-S", {True, 3}), ("mono-S", {1.0}), ("two-sided", {0, 2.5}), ("mono-left", "13")]:
+        with pytest.raises(ValueError, match="grade"):
+            space_basis(kind, 3, 1, S=S)
+
+
+def test_rejected_bool_grade_leaves_the_int_basis_alone():
+    with pytest.raises(ValueError):
+        space_basis("hodge", 3, 1, s=True)
+    assert space_basis("hodge", 3, 1, s=1).label == "hodge(m=3,s=1,k=1)"
 
 
 def test_mono_right_is_the_kernel_of_dirac_right():
@@ -274,3 +288,21 @@ def test_component_space_off_range_empty():
     assert component_space("w", m, -1, 1).dim == 0
     assert component_space("w", m, 0, -1).dim == 0
     assert component_space("w", m, 1, 5).dim == 2
+
+
+def test_image_basis_certifies_injectivity():
+    m = 2
+    x1, x2 = CliffordPoly.variable(m, 1), CliffordPoly.variable(m, 2)
+    source = SubspaceBasis(m, "src", [x1, x2, x1 * x2])
+    image = image_basis("double", source, lambda v: v.scale(2))
+    assert image.label == "double" and image.vectors == (x1.scale(2), x2.scale(2), (x1 * x2).scale(2))
+    assert image_basis("empty", SubspaceBasis(m, "none", ()), lambda v: v).dim == 0
+    # the witness is the source vector whose image is the first zero or dependent one
+    for f, witness in [
+        (lambda v: CliffordPoly.zero(m) if v == x2 else v, x2),  # a zero image
+        (lambda v: x1 if v == x2 else v, x2),  # a duplicated image
+        (lambda v: x1 + x2 if v == x1 * x2 else v, x1 * x2),  # a sum of earlier images
+    ]:
+        with pytest.raises(TheoremViolation, match="bad.*src") as info:
+            image_basis("bad", source, f)
+        assert info.value.witness == witness
