@@ -162,7 +162,10 @@ def cmd_decompose(args) -> int:
         result = classical_fischer_decompose(p, args.mode)
     else:
         S = _parse_grades(args.S) if args.S is not None else None
-        result = refine_decompose(p, args.theorem, S=S, side=side)
+        try:
+            result = refine_decompose(p, args.theorem, S=S, side=side)
+        except ValueError as e:  # a grade set outside 0..m
+            raise CliError(2, str(e)) from None
     _emit({"input": result.input, "components": result.components, "residual": result.residual},
           args.output)
     return 0

@@ -32,6 +32,7 @@ from .polynomial import CliffordPoly, monomial_keys, norm_squared_poly
 from .spaces import (
     KERNELS,
     TheoremViolation,
+    _check_grade_set,
     component_space,
     hodge_space,
     image_basis,
@@ -352,7 +353,7 @@ def monogenic_refine(m: int, k: int, S: Iterable[int] | None = None,
                      side: str = "left") -> TheoremReport:
     """Certify the two-layer refinement of the grade-restricted
     monogenic space against the computed kernel."""
-    S = frozenset(range(m + 1)) if S is None else frozenset(S)
+    S = frozenset(range(m + 1)) if S is None else _check_grade_set(S, m)
     labeled = monogenic_components(m, k, S, side)
     theorem = "monogenic" if S == frozenset(range(m + 1)) else "mt"
     return _refine_report(theorem, m, None, k, labeled, KERNELS[f"mono-{side}"],
@@ -383,7 +384,7 @@ def refine_decompose(p: CliffordPoly, theorem: str, S: Iterable[int] | None = No
     if theorem in _BIGRADE_REFINEMENTS:
         return _decompose(p, _BIGRADE_REFINEMENTS[theorem], theorem)
     if theorem in ("monogenic", "mt"):
-        S = frozenset(range(p.m + 1)) if S is None else frozenset(S)
+        S = frozenset(range(p.m + 1)) if S is None else _check_grade_set(S, p.m)
         return _decompose(p, lambda m, grades, k: monogenic_components(m, k, grades, side),
                           f"{theorem}, {side} side", grade_set=S)
     raise ValueError(f"no refinement decomposition for theorem {theorem!r}")

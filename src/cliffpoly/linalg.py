@@ -1,15 +1,16 @@
 """Exact rational linear algebra over the polynomial spaces.
 
-Dense matrices of Fractions, admitted by the coefficient rule of the
-polynomials: int or Fraction, nothing else.  Polynomials become matrix
-entries only through `columns_matrix`, one column each.  `rref` is the one
-elimination, a single fraction-free Gauss-Jordan pass: every row is
-scaled to a primitive integer row, each pivot clears its column above
-and below with integer updates that keep the rows primitive, rows that
-vanish are dropped, and at the end each pivot row is divided once by
-its pivot.  Rank, kernel, span equality, direct sums and coordinates
-all read that result; the reduced row echelon form is unique, so every
-result is deterministic.
+Sparse matrices: each row lists its nonzero (column, Fraction) pairs in
+column order, and the coefficients are those of the polynomials, already
+exact.  Polynomials become matrix entries only through `columns_matrix`,
+one column each.  `rref` is the one elimination, a single fraction-free
+Gauss-Jordan pass over sparse integer rows: every row is scaled to a
+primitive integer row, each pivot clears its column above and below with
+integer updates that keep the rows primitive, and rows that vanish are
+dropped.  Nothing is divided there; a kernel or a solve divides only the
+entries it reads by their row's pivot.  Rank, kernel, span equality,
+direct sums and coordinates all read that result; the reduced row
+echelon form is unique, so every result is deterministic.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .multivector import _as_fraction
 from .polynomial import CliffordPoly, TermKey, monomial_keys, term_sort_key
 
 
@@ -27,74 +27,66 @@ class NotInSpan(Exception):
     """A vector failed to lie in the span of a basis."""
 
 
-class RationalMatrix:
-    __slots__ = ("rows", "cols", "entries")
+class RationalMatrix(NamedTuple):
+    """A sparse exact matrix: entries[i] holds row i's nonzero
+    (column, Fraction) pairs in column order."""
 
-    def __init__(self, entries: Sequence[Sequence], cols: int | None = None):
-        entries = [[_as_fraction(x) for x in row] for row in entries]
-        if entries:
-            cols_found = len(entries[0])
-            if any(len(row) != cols_found for row in entries):
-                raise ValueError("ragged matrix")
-            if cols is not None and cols != cols_found:
-                raise ValueError(f"cols={cols} but rows have length {cols_found}")
-            cols = cols_found
-        elif cols is None:
-            cols = 0
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+    entries: list[list[tuple[int, Fraction]]]
+    cols: int
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalMatrix):
-            return self.rows == other.rows and self.cols == other.cols and self.entries == other.entries
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols})"
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    matrix: RationalMatrix
+class RrefResult(NamedTuple):
+    """The reduced rows, each a primitive integer row (column -> int)
+    whose division by its pivot entry is the reduced row echelon form."""
+
+    rows: list[dict[int, int]]
     pivots: tuple[int, ...]
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
 
-def _primitive(row: list[int]) -> list[int] | None:
+def _primitive(row: dict[int, int]) -> dict[int, int] | None:
     """The row divided by the gcd of its entries; None for a zero row."""
-    g = math.gcd(*row)
+    g = math.gcd(*row.values())
     if not g:
         return None
-    return [v // g for v in row] if g > 1 else row
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _primitive_int_row(row: Sequence[Fraction]) -> list[int] | None:
-    denom = math.lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (denom // x.denominator) for x in row])
-
-
-def _clear(row: list[int], base: list[int], c: int) -> list[int] | None:
+def _clear(row: dict[int, int], base: dict[int, int], c: int) -> dict[int, int] | None:
     """The row with its column-c entry cleared by the pivot row base."""
-    x = row[c]
+    x = row.get(c)
     if not x:
         return row
     piv = base[c]
-    return _primitive([a * piv - b * x for a, b in zip(row, base)])
+    out = {j: v * piv for j, v in row.items()}
+    for j, b in base.items():
+        v = out.get(j, 0) - b * x
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return _primitive(out)
 
 
 def rref(mat: RationalMatrix) -> RrefResult:
-    ncols = mat.cols
-    pending = [row for row in map(_primitive_int_row, mat.entries) if row]
-    reduced: list[list[int]] = []
+    pending = []
+    for row in mat.entries:
+        if row:
+            denom = math.lcm(*(x.denominator for _, x in row))
+            pending.append(_primitive({c: x.numerator * (denom // x.denominator) for c, x in row}))
+    reduced: list[dict[int, int]] = []
     pivots: list[int] = []
-    for c in range(ncols):
+    for c in range(mat.cols):
         if not pending:
             break
-        i = next((i for i, row in enumerate(pending) if row[c]), None)
+        i = next((i for i, row in enumerate(pending) if c in row), None)
         if i is None:
             continue
         base = pending.pop(i)
@@ -102,10 +94,7 @@ def rref(mat: RationalMatrix) -> RrefResult:
         pending = [row for row in (_clear(row, base, c) for row in pending) if row]
         reduced.append(base)
         pivots.append(c)
-    zero = Fraction(0)
-    full = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(reduced, pivots)]
-    full += [[zero] * ncols for _ in range(mat.rows - len(pivots))]
-    return RrefResult(RationalMatrix(full, ncols), tuple(pivots), len(pivots))
+    return RrefResult(reduced, tuple(pivots))
 
 
 def rank(mat: RationalMatrix) -> int:
@@ -123,8 +112,8 @@ def nullspace(mat: RationalMatrix) -> list[list[Fraction]]:
             continue
         v = [Fraction(0)] * mat.cols
         v[free] = Fraction(1)
-        for row_idx, piv in enumerate(rr.pivots):
-            v[piv] = -rr.matrix.entries[row_idx][free]
+        for row, piv in zip(rr.rows, rr.pivots):
+            v[piv] = Fraction(-row.get(free, 0), row[piv])
         out.append(v)
     return out
 
@@ -147,18 +136,13 @@ def columns_matrix(polys: Sequence[CliffordPoly], keys: Sequence[TermKey] | None
     if keys is None:
         keys = keys_union(polys)
     index = {key: i for i, key in enumerate(keys)}
-    zero = Fraction(0)
-    entries = [[zero] * len(polys) for _ in index]
+    entries: list[list[tuple[int, Fraction]]] = [[] for _ in index]
     for col, p in enumerate(polys):
         for key, c in p.terms.items():
             if key not in index:
                 raise ValueError(f"term {key} outside the ambient key list")
-            entries[index[key]][col] = c
+            entries[index[key]].append((col, c))
     return RationalMatrix(entries, len(polys))
-
-
-def poly_vector(p: CliffordPoly, keys: Sequence[TermKey]) -> list[Fraction]:
-    return [row[0] for row in columns_matrix([p], keys).entries]
 
 
 def poly_from_vector(m: int, keys: Sequence[TermKey], v: Sequence[Fraction]) -> CliffordPoly:
@@ -239,8 +223,8 @@ def coords_in_basis(p: CliffordPoly, vectors: Iterable[CliffordPoly]) -> list[Fr
     if n in rr.pivots:
         raise NotInSpan("polynomial outside the span of the given vectors")
     coords = [Fraction(0)] * n
-    for row, piv in zip(rr.matrix.entries, rr.pivots):
-        coords[piv] = row[n]
+    for row, piv in zip(rr.rows, rr.pivots):
+        coords[piv] = Fraction(row.get(n, 0), row[piv])
     return coords
 
 

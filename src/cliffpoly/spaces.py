@@ -123,7 +123,10 @@ def _check_grade(s: int, m: int) -> int:
 
 
 def _check_grade_set(S: Iterable[int], m: int) -> frozenset[int]:
-    S = frozenset(S)
+    try:
+        S = frozenset(S)
+    except TypeError:
+        raise ValueError(f"grade set {S!r} is not a collection of grades") from None
     if not S:
         raise ValueError("grade set must be nonempty")
     for s in S:

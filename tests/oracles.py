@@ -117,16 +117,42 @@ def sandwich_x_literal(p: CliffordPoly) -> CliffordPoly:
 # dense matrices
 
 
+def sparse_matrix(dense: Sequence[Sequence], cols: int | None = None) -> RationalMatrix:
+    """The sparse matrix of a dense grid of int or Fraction entries."""
+    if cols is None:
+        cols = len(dense[0]) if dense else 0
+    if any(len(row) != cols for row in dense):
+        raise ValueError("ragged matrix")
+    return RationalMatrix([[(j, Fraction(x)) for j, x in enumerate(row) if x] for row in dense], cols)
+
+
+def dense_view(mat: RationalMatrix) -> list[list[Fraction]]:
+    """The matrix as a dense grid of Fractions, zeros written out."""
+    out = [[Fraction(0)] * mat.cols for _ in range(mat.rows)]
+    for i, row in enumerate(mat.entries):
+        for j, x in row:
+            out[i][j] = x
+    return out
+
+
 def identity_matrix(n: int) -> RationalMatrix:
-    return RationalMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+    return sparse_matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
 
 def zero_matrix(rows: int, cols: int) -> RationalMatrix:
-    return RationalMatrix([[0] * cols for _ in range(rows)], cols)
+    return sparse_matrix([[0] * cols for _ in range(rows)], cols)
 
 
 def mul_vec(mat: RationalMatrix, v: Sequence) -> list[Fraction]:
     if len(v) != mat.cols:
         raise ValueError("vector length mismatch")
     v = [Fraction(x) for x in v]
-    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in mat.entries]
+    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in dense_view(mat)]
+
+
+def poly_vector(p: CliffordPoly, keys: Sequence[TermKey]) -> list[Fraction]:
+    """The coordinates of p over keys; ValueError for a term outside keys."""
+    outside = p.terms.keys() - set(keys)
+    if outside:
+        raise ValueError(f"terms {sorted(outside)} outside the key list")
+    return [p.terms.get(key, Fraction(0)) for key in keys]

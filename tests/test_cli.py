@@ -338,6 +338,16 @@ def test_decompose_mt(capsys, tmp_path):
     assert json.loads(out)["components"]
 
 
+@pytest.mark.parametrize("grades", ["7", "", "1,9"])
+def test_decompose_mt_rejects_bad_grade_sets(capsys, tmp_path, x1sq_file, grades):
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"m": 3, "terms": []}))
+    for path in (str(zero), x1sq_file):
+        code, out, err = run_cli(capsys, "decompose", "--theorem", "mt", "--S", grades, "--input", path)
+        assert (code, out) == (2, ""), (grades, path)
+        assert "grade" in err
+
+
 def test_decompose_byte_identical(capsys, x1sq_file):
     _, out1, _ = run_cli(capsys, "decompose", "--theorem", "classical", "--mode", "harmonic",
                          "--input", x1sq_file)

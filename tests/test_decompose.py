@@ -34,7 +34,7 @@ from cliffpoly.operators import (
     x_wedge,
 )
 from cliffpoly.polynomial import CliffordPoly, norm_squared_poly
-from cliffpoly.spaces import TheoremViolation, hodge_space
+from cliffpoly.spaces import TheoremViolation, hodge_space, space_basis
 
 SEED = 96321
 
@@ -229,6 +229,18 @@ def test_restricted_monogenic_all_sets_m3():
 def test_monogenic_refine_bad_side():
     with pytest.raises(ValueError):
         monogenic_refine(2, 1, side="middle")
+
+
+def test_refinements_reject_bad_grade_sets():
+    # a grade set outside 0..m would certify no component and report ok
+    p = space_basis("mono-S", 3, 1, S={1, 3}).vectors[0]
+    for S in ({7}, set(), {True, 3}, 3):
+        with pytest.raises(ValueError, match="grade"):
+            monogenic_refine(3, 1, S=S)
+        with pytest.raises(ValueError, match="grade"):
+            refine_decompose(p, "mt", S=S)
+        with pytest.raises(ValueError, match="grade"):
+            refine_decompose(CliffordPoly.zero(3), "mt", S=S)
 
 
 # ---------------------------------------------------------------------------

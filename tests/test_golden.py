@@ -58,6 +58,7 @@ def _inputs() -> dict[str, CliffordPoly]:
 CASES = (
     ("verify-m3-k2", None, ("verify", "--m", "3", "--kmax", "2")),
     ("verify-m2-k3", None, ("verify", "--m", "2", "--kmax", "3")),
+    ("verify-m4-k3", None, ("verify", "--m", "4", "--kmax", "3")),
     *((f"apply-op-{name}", "mixed", ("apply", "--op", name)) for name in OP_NAMES),
     *((f"apply-word-{w}", "mixed", ("apply", "--word", w)) for w in ("w", "d", "wd", "dw", "wdw")),
     ("decompose-h", "mixed", ("decompose", "--theorem", "h")),
@@ -85,6 +86,7 @@ CASES = (
 DIGESTS = {
     "verify-m3-k2": "ee6cb4c9da0ca577f868ea37813db9284f69c435d149f5b630cfe312f2545176",
     "verify-m2-k3": "8ae41210f3d0ac016dd788cd9129533dc92e05c22e1879d66de81bf1cf83f6ee",
+    "verify-m4-k3": "5fd907995ae0e04793376ea401c4d18f2672e2979e2b2a457e96859e2355edc2",
     "apply-op-dplus": "ac38d94fd82d93dca79caae69044a5fd3d23b78d8381c838640cd7c5eeaa00b7",
     "apply-op-dminus": "c6a48281007e33a2f4a23aee68243d20e90947d28e31ae6143ede3b955799770",
     "apply-op-xwedge": "34862a3a916ad50a41483612296d272db4298a7fbb2e9482a05702b0af5edc8f",

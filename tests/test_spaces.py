@@ -188,7 +188,8 @@ def test_space_basis_argument_validation():
     for kind, s in [("hodge", True), ("hodge", 1.0), ("hodge", 1.5), ("two-sided", False)]:
         with pytest.raises(ValueError, match="grade"):
             space_basis(kind, 3, 1, s=s)
-    for kind, S in [("mono-S", {True, 3}), ("mono-S", {1.0}), ("two-sided", {0, 2.5}), ("mono-left", "13")]:
+    for kind, S in [("mono-S", {True, 3}), ("mono-S", {1.0}), ("two-sided", {0, 2.5}), ("mono-left", "13"),
+                    ("mono-S", 3)]:
         with pytest.raises(ValueError, match="grade"):
             space_basis(kind, 3, 1, S=S)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliffpoly.decompose import TOWER_MODES, classical_fischer_decompose, fischer_h_decompose
-from cliffpoly.linalg import poly_from_vector, poly_vector
+from cliffpoly.linalg import poly_from_vector
 from cliffpoly.operators import (
     OPERATORS,
     apply_named,
@@ -25,6 +25,7 @@ from cliffpoly.operators import (
 )
 from cliffpoly.polynomial import CliffordPoly, monomial_keys
 from cliffpoly.spaces import space_basis
+from oracles import poly_vector
 
 SEED = 5150
 
