@@ -51,6 +51,8 @@ def _read_poly(path: str) -> CliffordPoly:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise CliError(2, f"malformed JSON in {name}: line {e.lineno} column {e.colno}: {e.msg}") from None
+    except ValueError as e:  # an integer literal past the interpreter's digit limit
+        raise CliError(2, f"unreadable JSON in {name}: {e}") from None
     except RecursionError:
         raise CliError(2, f"JSON in {name} is nested too deeply") from None
     try:
@@ -185,6 +187,8 @@ def cmd_verify(args) -> int:
             raise CliError(2, f"unknown theorems {unknown}; expected among {list(THEOREM_ORDER)}")
         if not theorems:
             raise CliError(2, "--theorems must name at least one theorem")
+        if len(set(theorems)) < len(theorems):
+            raise CliError(2, f"--theorems names a theorem more than once: {theorems}")
     budget, source = args.budget_seconds, "--budget-seconds"
     if budget is None and os.environ.get(BUDGET_ENV):
         source = BUDGET_ENV

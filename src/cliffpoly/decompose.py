@@ -496,6 +496,8 @@ def verify_report(m: int, k_max: int, theorems: Iterable[str] | str = "all",
             raise ValueError(f"unknown theorems {unknown}; expected among {list(THEOREM_ORDER)}")
         if not selected:
             raise ValueError("theorems must name at least one theorem")
+        if len(set(selected)) < len(selected):
+            raise ValueError(f"theorems name a theorem more than once: {selected}")
     rng = Random(seed)
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     reports: list[TheoremReport] = []

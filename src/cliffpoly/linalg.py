@@ -4,13 +4,14 @@ Sparse matrices: each row lists its nonzero (column, Fraction) pairs in
 column order, and the coefficients are those of the polynomials, already
 exact.  Polynomials become matrix entries only through `columns_matrix`,
 one column each.  `rref` is the one elimination, a single fraction-free
-Gauss-Jordan pass over sparse integer rows: every row is scaled to a
-primitive integer row, each pivot clears its column above and below with
-integer updates that keep the rows primitive, and rows that vanish are
-dropped.  Nothing is divided there; a kernel or a solve divides only the
-entries it reads by their row's pivot.  Rank, kernel, span equality,
-direct sums and coordinates all read that result; the reduced row
-echelon form is unique, so every result is deterministic.
+pass over primitive integer rows into a pivot table (pivot column ->
+fully reduced row): each row is cleared at the pivot columns it holds
+and dropped if it vanishes, and a surviving row clears its first column
+from the pivot rows that hold it.  Nothing is divided there; a kernel
+or a solve divides only the entries it reads by their row's pivot, and
+kernels stay sparse.  Rank, kernel, span equality, direct sums and
+coordinates all read that result; the reduced row echelon form is
+unique, so every result is deterministic.
 """
 
 from __future__ import annotations
@@ -60,11 +61,8 @@ def _primitive(row: dict[int, int]) -> dict[int, int] | None:
 
 
 def _clear(row: dict[int, int], base: dict[int, int], c: int) -> dict[int, int] | None:
-    """The row with its column-c entry cleared by the pivot row base."""
-    x = row.get(c)
-    if not x:
-        return row
-    piv = base[c]
+    """The row, which holds column c, with that entry cleared by the pivot row base."""
+    x, piv = row[c], base[c]
     out = {j: v * piv for j, v in row.items()}
     for j, b in base.items():
         v = out.get(j, 0) - b * x
@@ -76,46 +74,42 @@ def _clear(row: dict[int, int], base: dict[int, int], c: int) -> dict[int, int] 
 
 
 def rref(mat: RationalMatrix) -> RrefResult:
-    pending = []
+    basis: dict[int, dict[int, int]] = {}
     for row in mat.entries:
-        if row:
-            denom = math.lcm(*(x.denominator for _, x in row))
-            pending.append(_primitive({c: x.numerator * (denom // x.denominator) for c, x in row}))
-    reduced: list[dict[int, int]] = []
-    pivots: list[int] = []
-    for c in range(mat.cols):
-        if not pending:
-            break
-        i = next((i for i, row in enumerate(pending) if c in row), None)
-        if i is None:
+        if not row:
             continue
-        base = pending.pop(i)
-        reduced = [_clear(row, base, c) for row in reduced]
-        pending = [row for row in (_clear(row, base, c) for row in pending) if row]
-        reduced.append(base)
-        pivots.append(c)
-    return RrefResult(reduced, tuple(pivots))
+        denom = math.lcm(*(x.denominator for _, x in row))
+        row = _primitive({c: x.numerator * (denom // x.denominator) for c, x in row})
+        # each pivot row is zero in every other pivot column, so clearing one
+        # pivot column neither adds nor removes another
+        for c in [c for c in row if c in basis]:
+            row = _clear(row, basis[c], c)
+        if row:
+            p = min(row)
+            for c, base in basis.items():
+                if p in base:
+                    basis[c] = _clear(base, row, p)
+            basis[p] = row
+    pivots = sorted(basis)
+    return RrefResult([basis[c] for c in pivots], tuple(pivots))
 
 
 def rank(mat: RationalMatrix) -> int:
     return rref(mat).rank
 
 
-def nullspace(mat: RationalMatrix) -> list[list[Fraction]]:
-    """Basis of the right kernel; free columns in ascending order, each
-    basis vector carrying a 1 at its own free column."""
+def nullspace(mat: RationalMatrix) -> list[dict[int, Fraction]]:
+    """Basis of the right kernel as sparse vectors (column -> Fraction, no
+    zeros stored); free columns in ascending order, each basis vector
+    carrying a 1 at its own free column."""
     rr = rref(mat)
-    pivot_set = set(rr.pivots)
-    out = []
-    for free in range(mat.cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * mat.cols
-        v[free] = Fraction(1)
-        for row, piv in zip(rr.rows, rr.pivots):
-            v[piv] = Fraction(-row.get(free, 0), row[piv])
-        out.append(v)
-    return out
+    pivots = set(rr.pivots)
+    kernel = {j: {j: Fraction(1)} for j in range(mat.cols) if j not in pivots}
+    for row, piv in zip(rr.rows, rr.pivots):
+        for j, x in row.items():
+            if j != piv:
+                kernel[j][piv] = Fraction(-x, row[piv])
+    return list(kernel.values())
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +137,6 @@ def columns_matrix(polys: Sequence[CliffordPoly], keys: Sequence[TermKey] | None
                 raise ValueError(f"term {key} outside the ambient key list")
             entries[index[key]].append((col, c))
     return RationalMatrix(entries, len(polys))
-
-
-def poly_from_vector(m: int, keys: Sequence[TermKey], v: Sequence[Fraction]) -> CliffordPoly:
-    """The polynomial with Fraction coordinates v over keys valid for m."""
-    return CliffordPoly._of(m, dict(zip(keys, v)))
 
 
 class SubspaceBasis:

@@ -370,6 +370,8 @@ def h_action(r: PinElement, p: CliffordPoly) -> CliffordPoly:
 
 # primitive Pythagorean pairs (a, b, c) with (a/c)^2 + (b/c)^2 = 1
 _PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29), (9, 40, 41))
+# the share of monomials random_poly draws a coefficient for
+RANDOM_DENSITY = 0.6
 
 
 def rational_unit_vectors(m: int) -> list[Multivector]:
@@ -391,13 +393,13 @@ def sample_pin_elements(m: int, count: int, rng: Random) -> list[PinElement]:
     return out
 
 
-def random_poly(m: int, k: int, grades: Iterable[int], rng: Random, density: float = 0.6) -> CliffordPoly:
+def random_poly(m: int, k: int, grades: Iterable[int], rng: Random) -> CliffordPoly:
     """Seeded bihomogeneous-degree-k polynomial with values in the given grades."""
     from .polynomial import monomial_keys
 
     terms: dict[TermKey, Scalar] = {}
     for key in monomial_keys(m, set(grades), k):
-        if rng.random() < density:
+        if rng.random() < RANDOM_DENSITY:
             num = rng.randint(-9, 9)
             den = rng.choice((1, 1, 2, 3))
             if num:

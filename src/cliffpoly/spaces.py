@@ -26,7 +26,6 @@ from .linalg import (
     columns_matrix,
     nullspace,
     operator_matrix,
-    poly_from_vector,
     rank,
     rref,
     span_equal,
@@ -89,7 +88,8 @@ def kernel_dim(op_names: Iterable[str], m: int, grades: Union[int, Iterable[int]
 def _kernel_basis(op_names: Iterable[str], m: int, grades: Union[int, Iterable[int]], k: int,
                   label: str) -> SubspaceBasis:
     keys = monomial_keys(m, grades, k)
-    vectors = [poly_from_vector(m, keys, v) for v in nullspace(_stacked(op_names, m, grades, k))]
+    vectors = [CliffordPoly._of(m, {keys[j]: c for j, c in v.items()})
+               for v in nullspace(_stacked(op_names, m, grades, k))]
     return SubspaceBasis(m, label, vectors)
 
 

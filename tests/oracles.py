@@ -150,6 +150,47 @@ def mul_vec(mat: RationalMatrix, v: Sequence) -> list[Fraction]:
     return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in dense_view(mat)]
 
 
+def oracle_rref(entries: Sequence[Sequence]) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Straight Gauss-Jordan over Fraction, no integer tricks: the reduced
+    grid (zero rows last) and the pivot columns."""
+    work = [[Fraction(x) for x in row] for row in entries]
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        piv = work[r][c]
+        work[r] = [x / piv for x in work[r]]
+        for i in range(nrows):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return work, tuple(pivots)
+
+
+def oracle_nullspace(entries: Sequence[Sequence], cols: int) -> list[list[Fraction]]:
+    """The textbook kernel basis, dense: for each free column in ascending
+    order, 1 there and minus that column of the reduced rows at the pivots."""
+    reduced, pivots = oracle_rref(entries)
+    out = []
+    for free in range(cols):
+        if free not in pivots:
+            v = [Fraction(0)] * cols
+            v[free] = Fraction(1)
+            for row, piv in zip(reduced, pivots):
+                v[piv] = -row[free]
+            out.append(v)
+    return out
+
+
 def poly_vector(p: CliffordPoly, keys: Sequence[TermKey]) -> list[Fraction]:
     """The coordinates of p over keys; ValueError for a term outside keys."""
     outside = p.terms.keys() - set(keys)

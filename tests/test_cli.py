@@ -160,6 +160,19 @@ def test_booleans_and_non_ascii_digits_rejected(capsys, tmp_path, doc, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"m": ' + "9" * 5001 + ', "terms": []}',
+    '{"m": 1, "terms": [{"alpha": [' + "1" * 5001 + '], "blade": [], "coeff": "1"}]}',
+], ids=["m", "alpha"])
+def test_over_long_json_integer_rejected(capsys, tmp_path, text):
+    # json.loads refuses an integer literal past the interpreter's digit limit
+    bad = tmp_path / "long.json"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "apply", "--op", "dirac", "--input", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("cliffpoly: ")
+
+
 def test_missing_input_file(capsys):
     code, _, err = run_cli(capsys, "apply", "--op", "dirac", "--input", "/no/such/file.json")
     assert code == 2 and "cannot read" in err
@@ -435,6 +448,7 @@ def test_usage_error_exit_code():
     (("--m", "2", "--kmax", "1", "--budget-seconds", "-1"), None),
     (("--m", "2", "--kmax", "1", "--budget-seconds", "-0.5"), None),
     (("--m", "2", "--kmax", "1"), "-1"),
+    (("--m", "2", "--kmax", "0", "--theorems", "h,h"), None),
 ])
 def test_verify_rejects_bad_bounds(capsys, monkeypatch, argv, budget_env):
     if budget_env is None:

@@ -456,6 +456,7 @@ def test_verify_report_rejects_negative_kmax():
         ((2, 1), {"budget_seconds": -1}),
         ((2, 1), {"budget_seconds": -0.5}),
         ((2, 1), {"theorems": []}),
+        ((2, 0), {"theorems": ["h", "h"]}),
     ]:
         with pytest.raises(ValueError):
             verify_report(*args, **kwargs)

@@ -16,41 +16,24 @@ from cliffpoly.linalg import (
     keys_union,
     nullspace,
     operator_matrix,
-    poly_from_vector,
     rank,
     rref,
     span_equal,
 )
 from cliffpoly.operators import OPERATORS, random_poly
 from cliffpoly.polynomial import CliffordPoly, monomial_keys
-from oracles import dense_view, identity_matrix, mul_vec, poly_vector, sparse_matrix, zero_matrix
+from oracles import (
+    dense_view,
+    identity_matrix,
+    mul_vec,
+    oracle_nullspace,
+    oracle_rref,
+    poly_vector,
+    sparse_matrix,
+    zero_matrix,
+)
 
 SEED = 40320
-
-
-def oracle_rref(entries):
-    """Straight Gauss-Jordan over Fraction, no integer tricks."""
-    work = [[Fraction(x) for x in row] for row in entries]
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        piv = work[r][c]
-        work[r] = [x / piv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work, tuple(pivots)
 
 
 def reduced_rows(rr, cols):
@@ -87,6 +70,16 @@ def rank_deficient_matrices(rng):
         row[0] = row[3] = Fraction(0)
     yield zero_cols
     yield [[Fraction(0)] * 5 for _ in range(4)]
+    # later rows take pivots left of earlier ones (columns 1, then 0), one
+    # vanishes after its first clear, one after its last, and the new pivots
+    # of columns 3 and 5 are cleared from the earlier pivot rows that hold them
+    yield [[0, 0, 2, 1, 0, 4],
+           [0, 1, 1, 0, 3, 0],
+           [1, 0, 0, 2, 1, 1],
+           [0, 0, 4, 2, 0, 8],
+           [1, 1, 3, 3, 4, 5],
+           [0, 0, 0, 1, 1, 1],
+           [2, 3, 9, 8, 12, 14]]
 
 
 def test_rref_matches_textbook_oracle():
@@ -130,15 +123,19 @@ def test_nullspace_property():
     rng = Random(SEED + 2)
     for _ in range(12):
         rows, cols = rng.randint(1, 10), rng.randint(1, 10)
-        mat = sparse_matrix(random_matrix(rng, rows, cols))
+        entries = random_matrix(rng, rows, cols)
+        mat = sparse_matrix(entries)
         kernel = nullspace(mat)
         assert len(kernel) == cols - rank(mat)
-        for v in kernel:
+        # sparse vectors that store no zeros, equal to the textbook kernel
+        assert all(all(v.values()) and all(0 <= j < cols for j in v) for v in kernel)
+        dense = [[v.get(j, Fraction(0)) for j in range(cols)] for v in kernel]
+        assert dense == oracle_nullspace(entries, cols)
+        for v in dense:
             assert all(x == 0 for x in mul_vec(mat, v))
         # kernel vectors are independent by construction: each owns a free column
         if kernel:
-            km = sparse_matrix(kernel)
-            assert rank(km) == len(kernel)
+            assert rank(sparse_matrix(dense)) == len(kernel)
 
 
 def test_nullspace_full_rank_square():
@@ -148,17 +145,6 @@ def test_nullspace_full_rank_square():
 
 # ---------------------------------------------------------------------------
 # polynomial/vector bridges
-
-
-def test_poly_vector_round_trip():
-    m = 2
-    rng = Random(SEED + 3)
-    p = random_poly(m, 2, {0, 1, 2}, rng)
-    keys = monomial_keys(m, range(m + 1), 2)
-    v = poly_vector(p, keys)
-    assert poly_from_vector(m, keys, v) == p
-    with pytest.raises(ValueError):
-        poly_vector(CliffordPoly.one(m), keys)  # degree 0 keys missing
 
 
 def test_columns_matrix_is_the_transposed_vectors():
@@ -182,6 +168,8 @@ def test_columns_matrix_is_the_transposed_vectors():
     assert columns_matrix([]) == RationalMatrix([], cols=0)
     with pytest.raises(ValueError):
         columns_matrix([CliffordPoly.one(m)], keys)  # degree 0 keys missing
+    with pytest.raises(ValueError):
+        poly_vector(CliffordPoly.one(m), keys)
 
 
 def test_keys_no_polynomial_reaches_are_empty_rows():
@@ -195,7 +183,7 @@ def test_keys_no_polynomial_reaches_are_empty_rows():
     assert sum(1 for row in mat.entries if not row) == 6
     assert rref(mat).pivots == oracle_rref(dense_view(mat))[1] == (0, 1)
     assert rank(mat) == 2
-    assert nullspace(mat) == [[Fraction(-1), Fraction(-1), Fraction(1)]]
+    assert nullspace(mat) == [{0: Fraction(-1), 1: Fraction(-1), 2: Fraction(1)}]
     a = SubspaceBasis(m, "a", [x1])
     b = SubspaceBasis(m, "b", [x2])
     report = direct_sum_check([a, b], ambient_dim=len(keys), ambient_keys=keys)
@@ -310,4 +298,4 @@ def test_operator_matrix_empty_image():
     # the Laplacian kills degree 0 and 1 entirely; its matrix has no rows
     mat = operator_matrix(OPERATORS["laplacian"], 2, 0, 1)
     assert mat.rows == 0 and mat.cols == 2
-    assert nullspace(mat) == [[1, 0], [0, 1]]
+    assert nullspace(mat) == [{0: 1}, {1: 1}]

@@ -7,6 +7,7 @@ import pytest
 
 from cliffpoly.linalg import SubspaceBasis, nullspace, operator_matrix, span_equal
 from cliffpoly.operators import (
+    OPERATORS,
     OmegaWord,
     dirac,
     dirac_minus,
@@ -16,7 +17,7 @@ from cliffpoly.operators import (
     laplacian,
     laplacian_tilde,
 )
-from cliffpoly.polynomial import CliffordPoly, space_dim
+from cliffpoly.polynomial import CliffordPoly, monomial_keys, space_dim
 from cliffpoly.spaces import (
     KERNELS,
     KINDS,
@@ -29,6 +30,7 @@ from cliffpoly.spaces import (
     space_basis,
     word_vanishes,
 )
+from oracles import dense_view, oracle_nullspace
 
 # Frozen dimension tables, rows indexed by k = 0..4.  Cross-checked
 # against the closed forms tested below before freezing.
@@ -215,19 +217,37 @@ def test_kinds_follow_the_kernel_table():
         "hodge", "harmonic", "infra", "mono-left", "mono-right", "two-sided", "mono-S")
 
 
+def _every_kind_case(m):
+    """(kind, s, S, grades) for every KERNELS kind and every valid s or S at m."""
+    grade_sets = [frozenset(s for s in range(m + 1) if bits >> s & 1) for bits in range(1, 1 << (m + 1))]
+    cases = [(kind, s, None, s) for kind in ("hodge", "harmonic", "infra", "two-sided")
+             for s in range(m + 1)]
+    cases += [(kind, None, S, S) for kind in ("mono-left", "mono-right", "two-sided", "mono-S")
+              for S in grade_sets]
+    cases += [(kind, None, None, range(m + 1)) for kind in ("mono-left", "mono-right")]
+    assert {case[0] for case in cases} == set(KINDS)
+    return cases
+
+
 def test_kernel_dim_matches_basis_for_every_kind():
     # columns minus rank of the stacked KERNELS matrices is each basis's length
     for m in (1, 2, 3):
-        grade_sets = [frozenset(s for s in range(m + 1) if bits >> s & 1) for bits in range(1, 1 << (m + 1))]
-        cases = [(kind, s, None, s) for kind in ("hodge", "harmonic", "infra", "two-sided")
-                 for s in range(m + 1)]
-        cases += [(kind, None, S, S) for kind in ("mono-left", "mono-right", "two-sided", "mono-S")
-                  for S in grade_sets]
-        cases += [(kind, None, None, range(m + 1)) for kind in ("mono-left", "mono-right")]
-        assert {case[0] for case in cases} == set(KINDS)
         for k in range(3):
-            for kind, s, S, grades in cases:
+            for kind, s, S, grades in _every_kind_case(m):
                 assert kernel_dim(KERNELS[kind], m, grades, k) == space_basis(kind, m, k, s=s, S=S).dim
+
+
+def test_every_basis_is_the_textbook_kernel():
+    # each basis vector is the polynomial of one textbook kernel vector of the
+    # stacked KERNELS matrices, in the same order
+    for m in (1, 2, 3):
+        for k in range(3):
+            for kind, s, S, grades in _every_kind_case(m):
+                keys = monomial_keys(m, grades, k)
+                entries = [row for name in KERNELS[kind]
+                           for row in dense_view(operator_matrix(OPERATORS[name], m, grades, k))]
+                want = tuple(CliffordPoly(m, dict(zip(keys, v))) for v in oracle_nullspace(entries, len(keys)))
+                assert space_basis(kind, m, k, s=s, S=S).vectors == want, (kind, m, k, grades)
 
 
 def test_kernel_dim_without_operators_is_the_whole_space():

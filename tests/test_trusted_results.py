@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliffpoly.decompose import TOWER_MODES, classical_fischer_decompose, fischer_h_decompose
-from cliffpoly.linalg import poly_from_vector
 from cliffpoly.operators import (
     OPERATORS,
     apply_named,
@@ -23,9 +22,8 @@ from cliffpoly.operators import (
     sample_pin_elements,
     word_apply,
 )
-from cliffpoly.polynomial import CliffordPoly, monomial_keys
-from cliffpoly.spaces import space_basis
-from oracles import poly_vector
+from cliffpoly.polynomial import CliffordPoly
+from cliffpoly.spaces import KINDS, space_basis
 
 SEED = 5150
 
@@ -90,16 +88,16 @@ def test_vectors_and_projections_are_trusted():
     for p in POLYS:
         if p.m > 3 or p.is_zero:
             continue
-        keys = monomial_keys(p.m, range(p.m + 1), p.degree())
-        if p.bigrade() is not None:
-            assert_trusted(poly_from_vector(p.m, keys, poly_vector(p, keys)))
         results = [fischer_h_decompose(p)]
         results += [classical_fischer_decompose(p, mode) for mode in TOWER_MODES]
         for result in results:
             for part in (*result.components.values(), result.residual, result.total()):
                 assert_trusted(part)
-    for v in space_basis("harmonic", 3, 2, s=1):
-        assert_trusted(v)
+    # kernel-basis vectors are wrapped straight from the sparse nullspace vectors
+    for kind in KINDS:
+        s, S = (1, None) if kind in ("hodge", "harmonic", "infra", "two-sided") else (None, {1, 3})
+        for v in space_basis(kind, 3, 2, s=s, S=S):
+            assert_trusted(v)
 
 
 coefficients = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
